@@ -210,7 +210,8 @@ def cmd_cluster(ns, argv):
 
 def _join_ids(mapping, ids, path):
     missing = [i for i in ids if i not in mapping]
-    extra = [i for i in mapping if i not in set(ids)]
+    id_set = set(ids)
+    extra = [i for i in mapping if i not in id_set]
     if missing or extra:
         raise DataError(
             f"{path}: id mismatch; missing={missing[:5]} extra={extra[:5]}"

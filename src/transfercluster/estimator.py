@@ -5,10 +5,16 @@ k-means is run for every candidate count K in 0..k_max, using
 ``n_probe_classes + K`` clusters with the anchor classes pinned.  Each
 run is scored twice: clustering accuracy on the validation probe rows,
 and the Silhouette index on the unlabelled rows.  The two argmax
-candidates are averaged (rounding half up), the clustering is rerun at
-that count, and non-anchor clusters holding less than ``tau`` times the
-largest unlabelled mass are discarded.  The surviving cluster count is
-the estimate.
+candidates are averaged (rounding half up), the clustering at that
+count is taken from the sweep, and non-anchor clusters holding less
+than ``tau`` times the largest unlabelled mass are discarded.  The
+surviving cluster count is the estimate.
+
+The sweep runs in two phases.  First every candidate's anchored k-means
+and probe accuracy run, serially or on a thread pool.  Then one shared
+distance pass over the unlabelled rows scores the Silhouette of every
+candidate at once, since only the cluster memberships differ between
+candidates.
 
 Accuracy on a crisp probe set can plateau at its maximum across many
 candidates; plateau ties resolve toward the candidate closest to the
@@ -27,7 +33,7 @@ import numpy as np
 from .dataset import FeatureMatrix, LabeledSet, ProbeSplit
 from .errors import ParameterError
 from .kmeans import AnchorConstraints, constrained_kmeans
-from .metrics import clustering_accuracy, silhouette
+from .metrics import clustering_accuracy, silhouettes
 from .seeding import derive_seed
 
 UNDEFINED_CVI = -1.0   # Silhouette sentinel when unlabelled rows span < 2 clusters
@@ -66,18 +72,12 @@ def default_threads() -> int:
 
 
 def _run_candidate(k, stacked, anchors, n_probe_classes, val_rows, val_labels,
-                   unlabeled_slice, seed, n_init, max_iter):
-    total_clusters = n_probe_classes + k
-    result = constrained_kmeans(stacked, total_clusters, anchors,
+                   seed, n_init, max_iter):
+    result = constrained_kmeans(stacked, n_probe_classes + k, anchors,
                                 seed=derive_seed(seed, "sweep", k),
                                 n_init=n_init, max_iter=max_iter)
     acc, _ = clustering_accuracy(val_labels, result.assignment[val_rows])
-    unl_assign = result.assignment[unlabeled_slice]
-    if np.unique(unl_assign).size >= 2:
-        cvi = silhouette(stacked[unlabeled_slice], unl_assign)
-    else:
-        cvi = UNDEFINED_CVI
-    return SweepPoint(k, acc, cvi, result.inertia), result
+    return acc, result
 
 
 def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
@@ -140,7 +140,7 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
 
     def run(k):
         return _run_candidate(k, stacked, anchors, n_probe_classes, val_rows,
-                              val_labels, unlabeled_slice, seed, n_init, max_iter)
+                              val_labels, seed, n_init, max_iter)
 
     candidates = range(k_max + 1)
     workers = threads if threads is not None else 1
@@ -149,9 +149,16 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
             outcomes = list(pool.map(run, candidates))
     else:
         outcomes = [run(k) for k in candidates]
-    sweep = [point for point, _ in outcomes]
 
-    cvis = np.array([pt.cvi for pt in sweep])
+    unl_assigns = [result.assignment[unlabeled_slice] for _, result in outcomes]
+    scored = [k for k in candidates if np.unique(unl_assigns[k]).size >= 2]
+    cvis = [UNDEFINED_CVI] * len(outcomes)
+    for k, cvi in zip(scored, silhouettes(stacked[unlabeled_slice],
+                                          [unl_assigns[k] for k in scored])):
+        cvis[k] = cvi
+    sweep = [SweepPoint(k, acc, cvis[k], result.inertia)
+             for k, (acc, result) in enumerate(outcomes)]
+
     accs = np.array([pt.probe_acc for pt in sweep])
     k_star_cvi = int(np.argmax(cvis))
     best_acc = accs.max()
@@ -159,14 +166,10 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
     k_star_acc = int(tied[np.argmin(np.abs(tied - k_star_cvi))])
     k_hat = int(math.floor((k_star_acc + k_star_cvi) / 2.0 + 0.5))
 
-    if k_hat <= k_max:
-        _, final = outcomes[k_hat]
-    else:  # unreachable with the argmax rules above, kept for safety
-        _, final = run(k_hat)
+    _, final = outcomes[k_hat]
     n_anchor_clusters = len(anchor_classes)
     total_clusters = n_probe_classes + k_hat
-    unl_assign = final.assignment[unlabeled_slice]
-    masses = np.bincount(unl_assign, minlength=total_clusters)
+    masses = np.bincount(unl_assigns[k_hat], minlength=total_clusters)
     non_anchor = np.arange(n_anchor_clusters, total_clusters)
     largest = masses[non_anchor].max() if non_anchor.size else 0
     dropped = [(int(c), int(masses[c])) for c in non_anchor

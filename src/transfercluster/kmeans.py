@@ -21,6 +21,15 @@ from .seeding import rng_for
 
 @dataclass
 class KmeansResult:
+    """A k-means fit.
+
+    ``inertia`` is the exact within-cluster sum of squares of the returned
+    centers and assignment.  ``inertia_history`` holds each iteration's
+    objective in the expanded dot-product form that the assignment step
+    computes anyway, so it can differ from the exact value by rounding;
+    it is diagnostic only.
+    """
+
     centers: np.ndarray
     assignment: np.ndarray
     inertia: float
@@ -122,7 +131,7 @@ def _lloyd(x, centers, anchor_rows, anchor_cluster, k, max_iter, tol):
         if anchored:
             labels[anchor_rows] = anchor_cluster
         own = d2[np.arange(n), labels]
-        history.append(_exact_inertia(x, centers, labels))
+        history.append(float(own.sum()))
 
         counts = np.bincount(labels, minlength=k)
         onehot = np.zeros((n, k))

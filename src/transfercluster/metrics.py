@@ -13,6 +13,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ParameterError
 
+_BLOCK_ELEMENTS = 1 << 22   # float64 elements in one silhouette working block
+
 
 @dataclass
 class EvalReport:
@@ -103,37 +105,70 @@ def silhouette(data, predicted) -> float:
     predicted = np.asarray(predicted)
     if x.ndim != 2 or predicted.shape != (x.shape[0],):
         raise ParameterError("data must be (N, c) with one cluster label per row")
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ParameterError("silhouette needs at least 2 points")
-    clusters, idx = np.unique(predicted, return_inverse=True)
-    if clusters.size < 2:
+    if np.unique(predicted).size < 2:
         raise ParameterError("silhouette is undefined with fewer than 2 clusters")
-    counts = np.bincount(idx)
-    # Summed distance from each point to every cluster, computed from
-    # explicit coordinate differences (numerically exact, unlike the
-    # expanded dot-product form) in row chunks to bound memory.
-    membership = np.zeros((n, clusters.size))
-    membership[np.arange(n), idx] = 1.0
-    sums = np.zeros((n, clusters.size))
-    chunk = max(1, (1 << 22) // max(1, n * x.shape[1]))
-    for start in range(0, n, chunk):
-        block = x[start : start + chunk]
-        diff = block[:, None, :] - x[None, :, :]
-        dist = np.sqrt(np.einsum("bnc,bnc->bn", diff, diff))
-        sums[start : start + chunk] = dist @ membership
+    return silhouettes(x, [predicted])[0]
 
+
+def silhouettes(x, labellings) -> list[float]:
+    """Mean silhouette score of each labelling of the same rows of ``x``.
+
+    Each row chunk's distances to every row are computed once, from
+    explicit coordinate differences (numerically exact, unlike the
+    expanded dot-product form), and shared by all labellings: the block
+    times a labelling's one-hot membership gives each chunk row's summed
+    distance to every cluster.  One-hot memberships are held for as many
+    labellings at a time as fit in the block budget; further labellings
+    take another pass.  Inputs are not validated: ``x`` is a float
+    (N, c) array and every labelling has one label per row and at least
+    2 clusters, as :func:`silhouette` checks.
+    """
+    n = x.shape[0]
+    coded = [np.unique(labels, return_inverse=True)[1] for labels in labellings]
+    counts = [np.bincount(idx) for idx in coded]
+    scores = np.zeros((len(coded), n))
+    chunk = max(1, _BLOCK_ELEMENTS // max(1, n * x.shape[1]))
+    for group in _membership_groups([c.size for c in counts], _BLOCK_ELEMENTS // n):
+        memberships = [np.eye(counts[i].size)[coded[i]] for i in group]
+        for start in range(0, n, chunk):
+            rows = slice(start, start + chunk)
+            block = x[rows]
+            diff = block[:, None, :] - x[None, :, :]
+            dist = np.sqrt(np.einsum("bnc,bnc->bn", diff, diff))
+            for i, membership in zip(group, memberships):
+                scores[i, rows] = _row_scores(dist @ membership, coded[i][rows], counts[i])
+    return [float(row.mean()) for row in scores]
+
+
+def _membership_groups(widths, budget):
+    """Consecutive index groups whose summed widths fit ``budget`` (at least one each)."""
+    group, used = [], 0
+    for i, width in enumerate(widths):
+        if group and used + width > budget:
+            yield group
+            group, used = [], 0
+        group.append(i)
+        used += width
+    if group:
+        yield group
+
+
+def _row_scores(sums, idx, counts):
+    # sums[r, j]: summed distance from row r to the members of cluster j.
+    rows = np.arange(idx.size)
     own = counts[idx]
-    scores = np.zeros(n)
     multi = own > 1
-    a = np.zeros(n)
+    a = np.zeros(idx.size)
     a[multi] = sums[multi, idx[multi]] / (own[multi] - 1)
     mean_other = sums / counts[None, :]
-    mean_other[np.arange(n), idx] = np.inf
+    mean_other[rows, idx] = np.inf
     b = mean_other.min(axis=1)
     denom = np.maximum(a, b)
+    scores = np.zeros(idx.size)
     scores[multi] = (b[multi] - a[multi]) / denom[multi]
-    return float(scores.mean())
+    return scores
 
 
 def count_error(k_true: int, k_est: int) -> int:

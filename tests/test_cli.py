@@ -109,6 +109,19 @@ class TestCluster:
                    "--data", synth_dir / "unlabeled.csv", "--k", 3,
                    "--out-dir", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_truth_id_mismatch_is_data_error(self, synth_dir, encoder_path, tmp_path,
+                                             capsys, edit):
+        lines = (synth_dir / "unlabeled_truth.csv").read_text().strip().split("\n")
+        lines = lines[:-1] if edit == "missing" else lines + ["no-such-row,0"]
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        assert run("cluster", "--encoder", encoder_path,
+                   "--data", synth_dir / "unlabeled.csv", "--k", 3,
+                   "--warmup", 0, "--epochs", 0, "--truth", truth,
+                   "--out-dir", tmp_path / "x") == 2
+        assert "id mismatch" in capsys.readouterr().err
+
     def test_trace_has_epoch_rows(self, synth_dir, encoder_path, tmp_path):
         out = tmp_path / "run"
         assert run("cluster", "--encoder", encoder_path,

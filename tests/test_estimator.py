@@ -142,6 +142,8 @@ class TestEstimateClassCount:
                                         threads=4)
         assert serial.k_final == threaded.k_final
         assert [p.inertia for p in serial.sweep] == [p.inertia for p in threaded.sweep]
+        assert sweep_report_to_csv(serial) == sweep_report_to_csv(threaded)
+        np.testing.assert_array_equal(serial.final_assignment, threaded.final_assignment)
 
 
 class TestSweepReportCsv:

@@ -12,6 +12,7 @@ from transfercluster.metrics import (
     evaluate_clustering,
     nmi,
     silhouette,
+    silhouettes,
 )
 
 
@@ -152,6 +153,19 @@ class TestSilhouette:
         x = rng.normal(size=(30, 2))
         labels = rng.integers(0, 3, size=30)
         assert -1.0 <= silhouette(x, labels) <= 1.0
+
+    def test_shared_pass_equals_separate_calls(self):
+        rng = np.random.default_rng(6)
+        n = 500
+        x = rng.normal(size=(n, 2))
+        labellings = [rng.integers(0, 220, size=n) for _ in range(45)]
+        with_singleton = rng.integers(0, 5, size=n)
+        with_singleton[17] = 9
+        labellings += [with_singleton, rng.integers(0, 2, size=n)]
+        # More one-hot columns than one block holds: the shared pass
+        # splits the labellings into several groups.
+        assert n * sum(np.unique(l).size for l in labellings) > 1 << 22
+        assert silhouettes(x, labellings) == [silhouette(x, l) for l in labellings]
 
     def test_single_cluster_raises(self):
         with pytest.raises(ParameterError):
