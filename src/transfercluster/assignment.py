@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distances
 from .errors import DegenerateClusterError, NumericalError, ParameterError
 
 
@@ -51,9 +52,11 @@ def _check_embeddings(embeddings, protos: Prototypes) -> np.ndarray:
     return z
 
 
-def _sq_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = z[:, None, :] - centers[None, :, :]
-    return np.einsum("nkc,nkc->nk", diff, diff)
+def _kernel(z: np.ndarray, protos: Prototypes):
+    """Squared distances to the centers and the row-normalised kernel weights."""
+    sq = distances.exact(z, protos.centers)
+    weights = (1.0 + sq / protos.alpha) ** (-(protos.alpha + 1.0) / 2.0)
+    return sq, weights / weights.sum(axis=1, keepdims=True)
 
 
 def soft_assign(embeddings, protos: Prototypes) -> np.ndarray:
@@ -61,10 +64,7 @@ def soft_assign(embeddings, protos: Prototypes) -> np.ndarray:
 
     Weights are strictly positive, so rows are normalised directly.
     """
-    z = _check_embeddings(embeddings, protos)
-    sq = _sq_distances(z, protos.centers)
-    weights = (1.0 + sq / protos.alpha) ** (-(protos.alpha + 1.0) / 2.0)
-    return weights / weights.sum(axis=1, keepdims=True)
+    return _kernel(_check_embeddings(embeddings, protos), protos)[1]
 
 
 def target_distribution(p: np.ndarray) -> np.ndarray:
@@ -124,9 +124,7 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
         raise ParameterError(
             f"q shape {q.shape} does not match ({z.shape[0]}, {protos.n_clusters})"
         )
-    sq = _sq_distances(z, protos.centers)
-    weights = (1.0 + sq / protos.alpha) ** (-(protos.alpha + 1.0) / 2.0)
-    p = weights / weights.sum(axis=1, keepdims=True)
+    sq, p = _kernel(z, protos)
     dlogw = -(q - p) / z.shape[0]
     return _chain_to_inputs(z, protos, dlogw, sq)
 
@@ -144,9 +142,7 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
             f"grad_p shape {grad_p.shape} does not match "
             f"({z.shape[0]}, {protos.n_clusters})"
         )
-    sq = _sq_distances(z, protos.centers)
-    weights = (1.0 + sq / protos.alpha) ** (-(protos.alpha + 1.0) / 2.0)
-    p = weights / weights.sum(axis=1, keepdims=True)
+    sq, p = _kernel(z, protos)
     # Normalisation has softmax-style Jacobian in log-weight space.
     dlogw = p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True))
     return _chain_to_inputs(z, protos, dlogw, sq)

@@ -1,16 +1,16 @@
 """Command-line pipeline: synthesize, pretrain, cluster, estimate, evaluate.
 
-Every command writes one manifest next to its outputs; ``rerun`` replays
-a manifest and reproduces the outputs byte for byte.  Exit codes: 0 on
-success, 1 for usage errors, 2 for data or validation errors, 3 for
-numerical failures.  The DTC_THREADS environment variable caps worker
-parallelism for sweeps.
+Every command writes one manifest next to its outputs; ``rerun`` checks
+that the manifest's input files are unchanged, replays it and reproduces
+the outputs byte for byte.  Exit codes: 0 on success, 1 for usage errors,
+2 for data or validation errors, 3 for numerical failures.  The
+DTC_THREADS environment variable caps worker threads for ``estimate-k``
+and ``sweep``.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +21,15 @@ from .dataset import (
     ProbeSplit,
     load_features,
     load_labeled,
+    read_text,
     save_features,
     split_probes,
     synth_mixture,
 )
 from .encoder import PretrainConfig, forward, load_encoder, pretrain_encoder, save_encoder
 from .errors import DataError, NumericalError, ParameterError
-from .estimator import default_threads, estimate_class_count, sweep_report_to_csv
-from .manifest import read_manifest, write_manifest
+from .estimator import default_threads, estimate_class_count, parallel_map, sweep_report_to_csv
+from .manifest import file_digest, read_manifest, write_manifest
 from .metrics import count_error, evaluate_clustering
 from .regularizers import RampSchedule
 from .seeding import rng_for
@@ -54,24 +55,21 @@ def _write_pairs(path, header, pairs):
 
 def _read_id_value_file(path, column):
     """Read ``id,<column>`` pairs; feature CSVs with a label column also work."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    header, *lines = read_text(path).split("\n")
     if header == f"id,{column}" or header == "id,label":
         mapping = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != 2:
-                    raise DataError(f"{path}: line {lineno}: expected 2 fields")
-                try:
-                    mapping[parts[0]] = int(parts[1])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}: '{parts[1]}' is not an integer"
-                    ) from None
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise DataError(f"{path}: line {lineno}: expected 2 fields")
+            try:
+                mapping[parts[0]] = int(parts[1])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: '{parts[1]}' is not an integer"
+                ) from None
         if not mapping:
             raise DataError(f"{path}: no rows")
         return mapping
@@ -126,17 +124,22 @@ def cmd_pretrain(ns, argv):
     print(f"wrote {encoder_path}")
 
 
-def _auto_k(ns, encoder, out):
+def _estimate(ns, encoder, data):
+    """Count estimate for ``data`` with the probe file and split flags in ``ns``."""
     probe = load_labeled(ns.probe, ns.format)
     if ns.n_probe is not None:
         split = split_probes(probe, ns.n_probe, ns.anchor_ratio, ns.seed)
     else:
         split = _split_all_classes(probe.n_classes, ns.anchor_ratio, ns.seed)
     embedded_probe = LabeledSet(forward(encoder, probe.features), probe.labels)
-    report = estimate_class_count(
-        embedded_probe, forward(encoder, load_features(ns.data, ns.format)),
-        split, ns.k_max, ns.tau, ns.seed, threads=default_threads(),
+    return estimate_class_count(
+        embedded_probe, forward(encoder, data), split,
+        ns.k_max, ns.tau, ns.seed, threads=default_threads(),
     )
+
+
+def _auto_k(ns, encoder, data, out):
+    report = _estimate(ns, encoder, data)
     sweep_path = out / "auto_k_sweep.csv"
     sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
     print(f"estimated k_final={report.k_final} (k_hat={report.k_hat})")
@@ -182,7 +185,7 @@ def cmd_cluster(ns, argv):
     outputs = {}
     k = ns.k
     if k is None:
-        report, sweep_path = _auto_k(ns, encoder, out)
+        report, sweep_path = _auto_k(ns, encoder, data, out)
         outputs["auto_k_sweep"] = sweep_path
         inputs["probe"] = ns.probe
         k = report.k_final
@@ -221,17 +224,7 @@ def _join_ids(mapping, ids, path):
 
 def cmd_estimate_k(ns, argv):
     encoder = load_encoder(ns.encoder)
-    probe = load_labeled(ns.probe, ns.format)
-    data = load_features(ns.data, ns.format)
-    if ns.n_probe is not None:
-        split = split_probes(probe, ns.n_probe, ns.anchor_ratio, ns.seed)
-    else:
-        split = _split_all_classes(probe.n_classes, ns.anchor_ratio, ns.seed)
-    embedded_probe = LabeledSet(forward(encoder, probe.features), probe.labels)
-    report = estimate_class_count(
-        embedded_probe, forward(encoder, data), split,
-        ns.k_max, ns.tau, ns.seed, threads=default_threads(),
-    )
+    report = _estimate(ns, encoder, load_features(ns.data, ns.format))
     out = _out_dir(ns)
     sweep_path = out / "sweep.csv"
     sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
@@ -310,12 +303,7 @@ def cmd_sweep(ns, argv):
         report = evaluate_clustering(truth, trace.assignments)
         return value, report.acc, report.nmi
 
-    workers = default_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, values))
-    else:
-        rows = [run_point(v) for v in values]
+    rows = parallel_map(run_point, values, default_threads())
     out = _out_dir(ns)
     table_path = out / "sweep_results.csv"
     with open(table_path, "w", encoding="utf-8") as fh:
@@ -334,6 +322,12 @@ def cmd_rerun(ns, argv):
     if record.get("version") != __version__:
         print(f"warning: manifest written by version {record.get('version')}, "
               f"this is {__version__}", file=sys.stderr)
+    if record["argv"][:1] == ["rerun"]:
+        raise DataError(f"{ns.manifest}: replays 'rerun', which writes no manifest")
+    for name, path in record["inputs"].items():
+        if file_digest(path) != record["digests"].get(name):
+            raise DataError(f"{ns.manifest}: input '{name}' ({path}) does not match "
+                            "the digest recorded when the manifest was written")
     code = main(record["argv"])
     if code != 0:
         raise NumericalError(f"replayed command exited with {code}")

@@ -61,6 +61,13 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def as_values(batch) -> np.ndarray:
+    """The float64 value array of a FeatureMatrix or of any array-like."""
+    if isinstance(batch, FeatureMatrix):
+        return batch.values
+    return np.asarray(batch, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class LabeledSet:
     """Features plus a class label per row.
@@ -135,9 +142,17 @@ def _parse_header(line: str):
     return len(feature_names), has_labels
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; undecodable bytes are a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty file")
     dim, has_labels = _parse_header(lines[0])
@@ -189,6 +204,8 @@ def _load_binary(path):
         raise DataError(f"{path}: expected {need} bytes, got {len(blob)}")
     if n == 0:
         raise DataError(f"{path}: no rows")
+    if d == 0:
+        raise DataError(f"{path}: no feature columns")
     values = np.frombuffer(blob, dtype="<f8", count=n * d, offset=header)
     values = values.reshape(n, d).astype(np.float64)
     labels = None

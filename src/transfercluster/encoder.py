@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FeatureMatrix, LabeledSet
+from .dataset import FeatureMatrix, LabeledSet, as_values
 from .errors import DataError, NumericalError, ParameterError
 from .seeding import rng_for
 
@@ -115,12 +115,6 @@ class PcaModel:
         return projected @ self.components + self.mean
 
 
-def _as_values(batch) -> np.ndarray:
-    if isinstance(batch, FeatureMatrix):
-        return batch.values
-    return np.asarray(batch, dtype=np.float64)
-
-
 def _forward_trace(encoder: EncoderParams, x: np.ndarray):
     """Forward pass keeping per-layer inputs and activation outputs."""
     inputs = []
@@ -142,7 +136,7 @@ def forward(encoder: EncoderParams, batch):
     Accepts a FeatureMatrix (returned as a FeatureMatrix with the same
     ids) or a plain array (returned as an array).
     """
-    values = _as_values(batch)
+    values = as_values(batch)
     if values.ndim != 2:
         raise ParameterError(f"batch must be 2-D, got shape {values.shape}")
     expected = encoder.layers[0].weights.shape[1] if encoder.layers else encoder.input_dim
@@ -161,7 +155,7 @@ def backward(encoder: EncoderParams, batch, upstream: np.ndarray):
 
     Returns ``(EncoderGradients, input_gradients)``.
     """
-    x = _as_values(batch)
+    x = as_values(batch)
     upstream = np.asarray(upstream, dtype=np.float64)
     _, inputs, trunk_out = _forward_trace(encoder, x)
     if upstream.shape != (x.shape[0], encoder.output_dim):
@@ -196,7 +190,7 @@ def fit_pca(features, n_components: int) -> PcaModel:
     Uses the sample covariance (N-1 denominator).  Sign convention: the
     largest-magnitude entry of each component is positive.
     """
-    x = _as_values(features)
+    x = as_values(features)
     n, d = x.shape
     if not 1 <= n_components <= min(n, d):
         raise ParameterError(
@@ -250,6 +244,20 @@ class PretrainConfig:
             raise ParameterError("learning rate must be positive")
 
 
+class _SgdMomentum:
+    def __init__(self, params, momentum, lr):
+        self.params = params
+        self.momentum = momentum
+        self.lr = lr
+        self.velocity = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        for p, v, g in zip(self.params, self.velocity, grads):
+            v *= self.momentum
+            v += g
+            p -= self.lr * v
+
+
 @dataclass
 class PretrainResult:
     encoder: EncoderParams
@@ -288,7 +296,7 @@ def _softmax(logits):
 
 def classifier_logits(encoder: EncoderParams, head_weights, head_bias, batch):
     """Logits of the temporary classification head over trunk features."""
-    return _as_values(forward(encoder, _as_values(batch))) @ head_weights.T + head_bias
+    return forward(encoder, as_values(batch)) @ head_weights.T + head_bias
 
 
 def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = None,
@@ -312,7 +320,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
 
     params = [l.weights for l in encoder.layers] + [l.bias for l in encoder.layers]
     params += [head_w, head_b]
-    velocity = [np.zeros_like(p) for p in params]
+    opt = _SgdMomentum(params, config.momentum, config.learning_rate)
     batch_size = min(config.batch_size, n)
     losses = []
     for epoch in range(config.epochs):
@@ -322,7 +330,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
             xb, yb = x[rows], y[rows]
-            trunk_out = _as_values(forward(encoder, xb))
+            trunk_out = forward(encoder, xb)
             logits = trunk_out @ head_w.T + head_b
             probs = _softmax(logits)
             batch_n = len(rows)
@@ -337,10 +345,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
             grads_enc, _ = backward(encoder, xb, dlogits @ head_w)
             flat_grads = [g for g, _ in grads_enc.layers] + [g for _, g in grads_enc.layers]
             flat_grads += [grad_head_w, grad_head_b]
-            for p, v, g in zip(params, velocity, flat_grads):
-                v *= config.momentum
-                v += g
-                p -= config.learning_rate * v
+            opt.step(flat_grads)
         mean_loss = epoch_loss / n_batches
         if not np.isfinite(mean_loss):
             raise NumericalError(f"pretraining diverged at epoch {epoch}")
@@ -381,9 +386,19 @@ def save_encoder(path, encoder: EncoderParams) -> None:
 
 
 def load_encoder(path) -> EncoderParams:
-    """Load a checkpoint written by :func:`save_encoder`."""
+    """Load a checkpoint written by :func:`save_encoder`.
+
+    A truncated, garbled or inconsistent checkpoint raises DataError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _decode_checkpoint(blob, path)
+    except (struct.error, ParameterError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from None
+
+
+def _decode_checkpoint(blob: bytes, path) -> EncoderParams:
     offset = struct.calcsize("<4sBIB")
     if len(blob) < offset:
         raise DataError(f"{path}: truncated checkpoint header")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FeatureMatrix, LabeledSet, ProbeSplit
+from .dataset import LabeledSet, ProbeSplit, as_values
 from .errors import ParameterError
 from .kmeans import AnchorConstraints, constrained_kmeans
 from .metrics import clustering_accuracy, silhouettes
@@ -59,16 +59,20 @@ class EstimationReport:
     final_assignment: np.ndarray = field(repr=False, default=None)
 
 
-def _values(data) -> np.ndarray:
-    return data.values if isinstance(data, FeatureMatrix) else np.asarray(data, dtype=np.float64)
-
-
 def default_threads() -> int:
     """Worker cap from the DTC_THREADS environment variable (default 1)."""
     try:
         return max(1, int(os.environ.get("DTC_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def parallel_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, on ``workers`` threads when above 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _run_candidate(k, stacked, anchors, n_probe_classes, val_rows, val_labels,
@@ -106,7 +110,7 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
         raise ParameterError(f"k_max must be non-negative, got {k_max}")
     if not 0.0 < tau < 1.0:
         raise ParameterError(f"tau must be in (0, 1), got {tau}")
-    x_unlabeled = _values(unlabeled)
+    x_unlabeled = as_values(unlabeled)
 
     anchor_classes = sorted(split.anchor_classes)
     validation_classes = sorted(split.validation_classes)
@@ -143,12 +147,7 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
                               val_labels, seed, n_init, max_iter)
 
     candidates = range(k_max + 1)
-    workers = threads if threads is not None else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, candidates))
-    else:
-        outcomes = [run(k) for k in candidates]
+    outcomes = parallel_map(run, candidates, threads if threads is not None else 1)
 
     unl_assigns = [result.assignment[unlabeled_slice] for _, result in outcomes]
     scored = [k for k in candidates if np.unique(unl_assigns[k]).size >= 2]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import distances
 from .errors import DataError, ParameterError
 from .seeding import rng_for
 
@@ -76,14 +77,6 @@ class AnchorConstraints:
                 raise DataError(f"anchor cluster {c} has no anchor rows")
 
 
-def _sq_distances(x, centers, x_sq=None):
-    # Expanded BLAS form; adequate for argmin and seeding probabilities.
-    if x_sq is None:
-        x_sq = np.einsum("nc,nc->n", x, x)
-    c_sq = np.einsum("kc,kc->k", centers, centers)
-    return np.maximum(x_sq[:, None] + c_sq[None, :] - 2.0 * (x @ centers.T), 0.0)
-
-
 def _exact_inertia(x, centers, labels):
     diff = x - centers[labels]
     return float(np.einsum("nc,nc->", diff, diff))
@@ -96,12 +89,12 @@ def _plusplus_init(x, n_new, rng, existing=None):
     if n_new == 0:
         return chosen
     if existing is not None and len(existing):
-        d2 = _sq_distances(x, np.asarray(existing)).min(axis=1)
+        d2 = distances.expanded(x, np.asarray(existing)).min(axis=1)
         start = 0
     else:
         first = int(rng.integers(n))
         chosen[0] = x[first]
-        d2 = _sq_distances(x, chosen[:1])[:, 0]
+        d2 = distances.expanded(x, chosen[:1])[:, 0]
         start = 1
     for j in range(start, n_new):
         total = d2.sum()
@@ -110,7 +103,7 @@ def _plusplus_init(x, n_new, rng, existing=None):
         else:
             idx = int(rng.integers(n))
         chosen[j] = x[idx]
-        d2 = np.minimum(d2, _sq_distances(x, chosen[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1])[:, 0])
     return chosen
 
 
@@ -126,7 +119,7 @@ def _lloyd(x, centers, anchor_rows, anchor_cluster, k, max_iter, tol):
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d2 = _sq_distances(x, centers, x_sq)
+        d2 = distances.expanded(x, centers, x_sq)
         labels = d2.argmin(axis=1)
         if anchored:
             labels[anchor_rows] = anchor_cluster
@@ -157,7 +150,7 @@ def _lloyd(x, centers, anchor_rows, anchor_cluster, k, max_iter, tol):
         if shift < tol:
             break
     # Final assignment consistent with the returned centers.
-    labels = _sq_distances(x, centers, x_sq).argmin(axis=1)
+    labels = distances.expanded(x, centers, x_sq).argmin(axis=1)
     if anchored:
         labels[anchor_rows] = anchor_cluster
     return KmeansResult(centers, labels, _exact_inertia(x, centers, labels),

@@ -8,6 +8,7 @@ manifest writes byte-identical files, manifest included.
 
 import hashlib
 
+from .dataset import read_text
 from .errors import DataError
 
 
@@ -36,30 +37,34 @@ def write_manifest(path, command: str, argv: list[str], config: dict,
 
 
 def read_manifest(path) -> dict:
-    """Parse a manifest into {command, version, argv, config, inputs, outputs}."""
-    record = {"argv": {}, "config": {}, "inputs": {}, "outputs": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: line {lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            if key == "command":
-                record["command"] = value
-            elif key == "version":
-                record["version"] = value
-            elif key.startswith("argv."):
+    """Parse a manifest into {command, version, argv, config, inputs, digests, outputs}.
+
+    ``digests`` maps each input name to the SHA-256 recorded for its file.
+    """
+    record = {"argv": {}, "config": {}, "inputs": {}, "digests": {}, "outputs": {}}
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}: line {lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        if key == "command":
+            record["command"] = value
+        elif key == "version":
+            record["version"] = value
+        elif key.startswith("argv."):
+            try:
                 record["argv"][int(key[5:])] = value
-            elif key.startswith("config."):
-                record["config"][key[7:]] = value
-            elif key.startswith("input.") and key.endswith(".sha256"):
-                pass
-            elif key.startswith("input."):
-                record["inputs"][key[6:]] = value
-            elif key.startswith("output."):
-                record["outputs"][key[7:]] = value
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: bad argv index in '{key}'") from None
+        elif key.startswith("config."):
+            record["config"][key[7:]] = value
+        elif key.startswith("input.") and key.endswith(".sha256"):
+            record["digests"][key[6:-7]] = value
+        elif key.startswith("input."):
+            record["inputs"][key[6:]] = value
+        elif key.startswith("output."):
+            record["outputs"][key[7:]] = value
     if "command" not in record:
         raise DataError(f"{path}: missing command")
     argv = [record["argv"][i] for i in sorted(record["argv"])]

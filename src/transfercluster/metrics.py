@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import distances
 from .errors import ParameterError
 
 _BLOCK_ELEMENTS = 1 << 22   # float64 elements in one silhouette working block
@@ -134,9 +135,7 @@ def silhouettes(x, labellings) -> list[float]:
         memberships = [np.eye(counts[i].size)[coded[i]] for i in group]
         for start in range(0, n, chunk):
             rows = slice(start, start + chunk)
-            block = x[rows]
-            diff = block[:, None, :] - x[None, :, :]
-            dist = np.sqrt(np.einsum("bnc,bnc->bn", diff, diff))
+            dist = np.sqrt(distances.exact(x[rows], x))
             for i, membership in zip(group, memberships):
                 scores[i, rows] = _row_scores(dist @ membership, coded[i][rows], counts[i])
     return [float(row.mean()) for row in scores]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureMatrix
+from .dataset import FeatureMatrix, as_values
 from .errors import ParameterError
 from .seeding import rng_for
 
@@ -62,13 +62,10 @@ class RampSchedule:
     """Smooth ramp from exp(-5) at step 0 up to 1 at ``total_ramp_steps``."""
 
     total_ramp_steps: int
-    shape: str = "sigmoid_ramp"
 
     def __post_init__(self):
         if self.total_ramp_steps < 1:
             raise ParameterError("total_ramp_steps must be positive")
-        if self.shape != "sigmoid_ramp":
-            raise ParameterError(f"unknown ramp shape '{self.shape}'")
 
 
 def ramp_weight(schedule: RampSchedule, t: int) -> float:
@@ -88,7 +85,7 @@ def perturb(batch, magnitude: float, seed: int, step: int):
     """
     if magnitude < 0:
         raise ParameterError(f"magnitude must be non-negative, got {magnitude}")
-    values = batch.values if isinstance(batch, FeatureMatrix) else np.asarray(batch, dtype=np.float64)
+    values = as_values(batch)
     if magnitude == 0.0:
         noisy = values.copy()
     else:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import distances
 from .assignment import (
     Prototypes,
     consistency_loss,
@@ -32,8 +33,8 @@ from .assignment import (
     soft_assign_grads,
     target_distribution,
 )
-from .dataset import FeatureMatrix
-from .encoder import EncoderParams, backward, fit_pca, forward, install_bottleneck
+from .dataset import as_values
+from .encoder import EncoderParams, _SgdMomentum, backward, fit_pca, forward, install_bottleneck
 from .errors import DegenerateClusterError, NumericalError, ParameterError
 from .kmeans import kmeans
 from .regularizers import (
@@ -113,10 +114,6 @@ class TrainTrace:
     ensemble: EnsembleState | None = None
 
 
-def _values(batch) -> np.ndarray:
-    return batch.values if isinstance(batch, FeatureMatrix) else np.asarray(batch, dtype=np.float64)
-
-
 def _hash_matrix(m: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
@@ -126,7 +123,7 @@ def initialize(encoder: EncoderParams, unlabeled, config: TrainConfig):
 
     Returns ``(encoder_with_bottleneck, prototypes, targets)``.
     """
-    x = _values(unlabeled)
+    x = as_values(unlabeled)
     if x.shape[0] < 1:
         raise ParameterError("unlabelled data is empty")
     trunk_features = forward(encoder, x)
@@ -141,22 +138,8 @@ def initialize(encoder: EncoderParams, unlabeled, config: TrainConfig):
 
 def predict(encoder: EncoderParams, protos: Prototypes, batch):
     """Cluster index per row (argmax assignment, lowest index on ties)."""
-    probs = soft_assign(forward(encoder, _values(batch)), protos)
+    probs = soft_assign(forward(encoder, as_values(batch)), protos)
     return probs.argmax(axis=1), probs
-
-
-class _SgdMomentum:
-    def __init__(self, params, momentum, lr):
-        self.params = params
-        self.momentum = momentum
-        self.lr = lr
-        self.velocity = [np.zeros_like(p) for p in params]
-
-    def step(self, grads):
-        for p, v, g in zip(self.params, self.velocity, grads):
-            v *= self.momentum
-            v += g
-            p -= self.lr * v
 
 
 class _Adam:
@@ -194,8 +177,7 @@ def _refresh_targets(source_p, protos, embeddings, epoch, warnings):
         if dead.size == 0:
             return target_distribution(p), p
         k = int(dead[0])
-        diff = embeddings[:, None, :] - protos.centers[None, :, :]
-        nearest = np.einsum("nkc,nkc->nk", diff, diff).min(axis=1)
+        nearest = distances.exact(embeddings, protos.centers).min(axis=1)
         protos.centers[k] = embeddings[int(np.argmax(nearest))]
         warnings.append(f"epoch {epoch}: reseeded empty prototype {k}")
         p = soft_assign(embeddings, protos)
@@ -209,7 +191,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
     The trace holds one record per epoch, the final assignments, and the
     trained encoder and prototypes.
     """
-    x = _values(unlabeled)
+    x = as_values(unlabeled)
     n = x.shape[0]
     enc = encoder.copy()
     protos = protos.copy()

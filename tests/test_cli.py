@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline and its manifests."""
 
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,25 @@ class TestManifests:
         second = {p.name: digest(p) for p in out.iterdir()}
         assert first == second
 
+    def test_rerun_refuses_changed_input(self, synth_dir, encoder_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        data = synth_dir / "unlabeled.csv"
+        assert run("cluster", "--encoder", encoder_path, "--data", data, "--k", 3,
+                   "--warmup", 0, "--epochs", 1, "--seed", 0, "--out-dir", out) == 0
+        data.write_text(data.read_text().replace("\n", "\r\n"))
+        assert run("rerun", out / "cluster.manifest") == 2
+        assert "input 'data'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [b"argv.x=eval", b"\xff=1",
+                                       b"argv.0=rerun\nargv.1=MANIFEST"],
+                             ids=["bad-argv-index", "not-utf8", "replays-rerun"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, lines):
+        manifest = tmp_path / "bad.manifest"
+        lines = lines.replace(b"MANIFEST", str(manifest).encode())
+        manifest.write_bytes(b"command=eval\n" + lines + b"\n")
+        assert run("rerun", manifest) == 2
+        assert f"error: {manifest}" in capsys.readouterr().err
+
     def test_manifest_records_inputs_and_outputs(self, synth_dir):
         record = read_manifest(synth_dir / "synth.manifest")
         assert record["command"] == "synth"
@@ -256,21 +276,51 @@ class TestErrorPaths:
         assert run("cluster", "--encoder", encoder_path, "--data", bad,
                    "--k", 2, "--out-dir", tmp_path / "x") == 2
 
+    @pytest.mark.parametrize("case", ["dtce-header-only", "csv-not-utf8",
+                                      "truth-not-utf8", "dtcf-no-columns"])
+    def test_malformed_file_is_data_error(self, synth_dir, encoder_path, tmp_path,
+                                          capsys, case):
+        bad = tmp_path / "bad"
+        files = {"--encoder": encoder_path, "--data": synth_dir / "unlabeled.csv",
+                 "--truth": synth_dir / "unlabeled_truth.csv", "--format": "csv"}
+        if case == "dtce-header-only":
+            bad.write_bytes(encoder_path.read_bytes()[:10])
+            files["--encoder"] = bad
+        elif case == "csv-not-utf8":
+            bad.write_bytes(b"id,f0\n\xff,1.0\n")
+            files["--data"] = bad
+        elif case == "truth-not-utf8":
+            bad.write_bytes((synth_dir / "unlabeled_truth.csv").read_bytes() + b"\xff,0\n")
+            files["--truth"] = bad
+        else:
+            bad.write_bytes(struct.pack("<4sBIIB", b"DTCF", 1, 2, 0, 0))
+            files.update({"--data": bad, "--format": "binary"})
+        argv = [token for pair in files.items() for token in pair]
+        assert run("cluster", *argv, "--k", 2, "--warmup", 0, "--epochs", 0,
+                   "--out-dir", tmp_path / "x") == 2
+        assert f"error: {bad}" in capsys.readouterr().err
+
     def test_unknown_command(self):
         assert run("frobnicate") == 1
 
 
+@pytest.mark.parametrize("command", ["estimate-k", "sweep"])
 def test_worker_threads_leave_outputs_unchanged(synth_dir, encoder_path, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, command):
     """DTC_THREADS fans sweep points out to workers without changing results."""
-    args = ("estimate-k", "--encoder", encoder_path,
-            "--probe", synth_dir / "labeled.csv",
-            "--data", synth_dir / "unlabeled.csv", "--k-max", 5, "--seed", 1)
+    if command == "estimate-k":
+        flags = ("--probe", synth_dir / "labeled.csv", "--k-max", 5)
+        outputs = ("sweep.csv", "estimate_report.txt")
+    else:
+        flags = ("--truth", synth_dir / "unlabeled_truth.csv", "--sweep", "k",
+                 "--values", "2,3", "--warmup", 1, "--epochs", 2)
+        outputs = ("sweep_results.csv",)
+    args = (command, "--encoder", encoder_path, "--data", synth_dir / "unlabeled.csv",
+            "--seed", 1, *flags)
     serial, threaded = tmp_path / "serial", tmp_path / "threaded"
     monkeypatch.delenv("DTC_THREADS", raising=False)
     assert run(*args, "--out-dir", serial) == 0
     monkeypatch.setenv("DTC_THREADS", "3")
     assert run(*args, "--out-dir", threaded) == 0
-    assert digest(serial / "sweep.csv") == digest(threaded / "sweep.csv")
-    assert (serial / "estimate_report.txt").read_text() == \
-        (threaded / "estimate_report.txt").read_text()
+    for name in outputs:
+        assert digest(serial / name) == digest(threaded / name)
