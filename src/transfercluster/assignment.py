@@ -8,6 +8,15 @@ Training matches p against a sharpened, frequency-balanced target q by
 minimising the row-averaged KL divergence, optionally plus a consistency
 penalty between two assignment matrices.  Assignment matrices are plain
 (N, K) float arrays whose rows sum to one.
+
+Every gradient goes through one vector-Jacobian product, ``_vjp``.  A
+loss enters it as its gradient with respect to the log of the
+unnormalised weights, ``dlogw``: the KL term gives ``-(q - p)/n`` and an
+upstream gradient g on p gives ``p * (g - (g*p).sum(1))``.  A training
+step adds both terms and chains once.  The chain needs the (N, K, c)
+difference tensor that the squared distances are summed from, so a step
+builds that tensor once and shares it between ``_kernel`` (the weights
+of the distances) and ``_vjp``.
 """
 
 from dataclasses import dataclass
@@ -52,19 +61,33 @@ def _check_embeddings(embeddings, protos: Prototypes) -> np.ndarray:
     return z
 
 
-def _kernel(z: np.ndarray, protos: Prototypes):
-    """Squared distances to the centers and the row-normalised kernel weights."""
-    sq = distances.exact(z, protos.centers)
-    weights = (1.0 + sq / protos.alpha) ** (-(protos.alpha + 1.0) / 2.0)
-    return sq, weights / weights.sum(axis=1, keepdims=True)
+def _kernel(sq: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-normalised Student's-t weights of the squared distances ``sq``.
+
+    A row whose weights all underflow to 0 (a large alpha, or a point far
+    from every center) is recomputed in log space relative to its largest
+    weight; every other row is left as computed.
+    """
+    power = -(alpha + 1.0) / 2.0
+    weights = (1.0 + sq / alpha) ** power
+    total = weights.sum(axis=1, keepdims=True)
+    if not total.all():
+        under = total[:, 0] == 0.0
+        logw = power * np.log1p(sq[under] / alpha)
+        rescaled = np.exp(logw - logw.max(axis=1, keepdims=True))
+        weights[under] = rescaled
+        total[under] = rescaled.sum(axis=1, keepdims=True)
+    return weights / total
 
 
 def soft_assign(embeddings, protos: Prototypes) -> np.ndarray:
     """Row-stochastic (N, K) matrix of Student's-t assignment probabilities.
 
-    Weights are strictly positive, so rows are normalised directly.
+    Every row sums to one for finite squared distances, including rows
+    whose kernel weights underflow.
     """
-    return _kernel(_check_embeddings(embeddings, protos), protos)[1]
+    z = _check_embeddings(embeddings, protos)
+    return _kernel(distances.exact(z, protos.centers), protos.alpha)
 
 
 def target_distribution(p: np.ndarray) -> np.ndarray:
@@ -101,12 +124,27 @@ def kl_loss(q: np.ndarray, p: np.ndarray) -> float:
     return float((qs * (np.log(qs) - np.log(p[support]))).sum() / q.shape[0])
 
 
-def _chain_to_inputs(z, protos, dlogw, sq):
-    # dlogw is the gradient w.r.t. log of the unnormalised weights;
-    # log w = -(alpha+1)/2 * log(1 + sq/alpha), so
-    # d sq = dlogw * -(alpha+1) / (2 (alpha + sq)).
-    dsq = dlogw * (-(protos.alpha + 1.0) / (2.0 * (protos.alpha + sq)))
-    diff = z[:, None, :] - protos.centers[None, :, :]
+def _kl_dlogw(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dKL(q || p) / dlog w, with the targets q held constant."""
+    return -(q - p) / p.shape[0]
+
+
+def _assign_dlogw(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
+    """dLoss / dlog w for an upstream gradient dLoss/dp.
+
+    The row normalisation has a softmax-style Jacobian in log-weight space.
+    """
+    return p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True))
+
+
+def _vjp(diff: np.ndarray, sq: np.ndarray, alpha: float, dlogw: np.ndarray):
+    """Chain ``dlogw`` back to the embeddings (N, c) and the centers (K, c).
+
+    ``diff`` and ``sq`` are the kernel's difference tensor and squared
+    distances.  log w = -(alpha+1)/2 * log(1 + sq/alpha), so
+    d sq = dlogw * -(alpha+1) / (2 (alpha + sq)).
+    """
+    dsq = dlogw * (-(alpha + 1.0) / (2.0 * (alpha + sq)))
     grad_z = 2.0 * np.einsum("nk,nkc->nc", dsq, diff)
     grad_centers = -2.0 * np.einsum("nk,nkc->kc", dsq, diff)
     return grad_z, grad_centers
@@ -124,9 +162,8 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
         raise ParameterError(
             f"q shape {q.shape} does not match ({z.shape[0]}, {protos.n_clusters})"
         )
-    sq, p = _kernel(z, protos)
-    dlogw = -(q - p) / z.shape[0]
-    return _chain_to_inputs(z, protos, dlogw, sq)
+    sq, diff = distances.exact_with_differences(z, protos.centers)
+    return _vjp(diff, sq, protos.alpha, _kl_dlogw(q, _kernel(sq, protos.alpha)))
 
 
 def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
@@ -142,10 +179,8 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
             f"grad_p shape {grad_p.shape} does not match "
             f"({z.shape[0]}, {protos.n_clusters})"
         )
-    sq, p = _kernel(z, protos)
-    # Normalisation has softmax-style Jacobian in log-weight space.
-    dlogw = p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True))
-    return _chain_to_inputs(z, protos, dlogw, sq)
+    sq, diff = distances.exact_with_differences(z, protos.centers)
+    return _vjp(diff, sq, protos.alpha, _assign_dlogw(_kernel(sq, protos.alpha), grad_p))
 
 
 def consistency_loss(p: np.ndarray, p_prime: np.ndarray):

@@ -11,8 +11,13 @@ import numpy as np
 
 
 def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return exact_with_differences(a, b)[0]
+
+
+def exact_with_differences(a: np.ndarray, b: np.ndarray):
+    """:func:`exact` and the (n, k, c) difference tensor it sums over."""
     diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("nkc,nkc->nk", diff, diff)
+    return np.einsum("nkc,nkc->nk", diff, diff), diff
 
 
 def expanded(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:

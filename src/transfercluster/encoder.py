@@ -4,6 +4,12 @@ The trunk is a stack of fully connected layers with elementwise
 activations; the bottleneck is an affine map installed from a PCA fit
 and fine-tuned afterwards like any other layer.  Forward and backward
 passes are plain numpy; backward returns exact analytic gradients.
+
+``_forward_trace`` keeps each layer's input and the trunk output, and
+``_backward`` consumes such a trace, so a training step runs the
+forward pass once and backpropagates through the same trace.  The
+public :func:`backward` traces the batch itself and gives bit-identical
+gradients.
 """
 
 import struct
@@ -116,7 +122,10 @@ class PcaModel:
 
 
 def _forward_trace(encoder: EncoderParams, x: np.ndarray):
-    """Forward pass keeping per-layer inputs and activation outputs."""
+    """Forward pass as ``(output, per-layer inputs, trunk output)``.
+
+    :func:`_backward` takes the whole tuple.
+    """
     inputs = []
     h = x
     for layer in encoder.layers:
@@ -157,12 +166,17 @@ def backward(encoder: EncoderParams, batch, upstream: np.ndarray):
     """
     x = as_values(batch)
     upstream = np.asarray(upstream, dtype=np.float64)
-    _, inputs, trunk_out = _forward_trace(encoder, x)
     if upstream.shape != (x.shape[0], encoder.output_dim):
         raise ParameterError(
             f"upstream gradient shape {upstream.shape} does not match "
             f"({x.shape[0]}, {encoder.output_dim})"
         )
+    return _backward(encoder, _forward_trace(encoder, x), upstream)
+
+
+def _backward(encoder: EncoderParams, trace, upstream: np.ndarray):
+    """:func:`backward` through a kept :func:`_forward_trace` of the batch."""
+    _, inputs, trunk_out = trace
     grad = upstream
     bottleneck_grads = None
     if encoder.bottleneck is not None:

@@ -16,6 +16,15 @@ variant-specific term) with refreshes of the target distribution:
 Targets stay frozen through warm-up, are refreshed once after it, and
 then once per main epoch.  Everything is deterministic given the config
 seed.
+
+Each gradient step runs the encoder forward pass on the batch once and
+keeps its trace, builds one Student's-t kernel, adds the KL and
+consistency gradients in log-weight space, chains them to the
+embeddings and centers in one vector-Jacobian product, and
+backpropagates through the kept trace.  Only ``pi`` runs a second
+forward pass and kernel, on the perturbed batch.  The final assignments
+come from the last epoch's full-set pass, as :func:`predict` would
+compute them.
 """
 
 import hashlib
@@ -26,15 +35,25 @@ import numpy as np
 from . import distances
 from .assignment import (
     Prototypes,
+    _assign_dlogw,
+    _kernel,
+    _kl_dlogw,
+    _vjp,
     consistency_loss,
     kl_loss,
-    kl_loss_gradients,
     soft_assign,
-    soft_assign_grads,
     target_distribution,
 )
 from .dataset import as_values
-from .encoder import EncoderParams, _SgdMomentum, backward, fit_pca, forward, install_bottleneck
+from .encoder import (
+    EncoderParams,
+    _backward,
+    _forward_trace,
+    _SgdMomentum,
+    fit_pca,
+    forward,
+    install_bottleneck,
+)
 from .errors import DegenerateClusterError, NumericalError, ParameterError
 from .kmeans import kmeans
 from .regularizers import (
@@ -163,24 +182,25 @@ class _Adam:
             p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
-def _refresh_targets(source_p, protos, embeddings, epoch, warnings):
+def _refresh_targets(source_p, p, protos, embeddings, epoch, warnings):
     """Targets from ``source_p``, reseeding any prototype with zero mass.
 
     Reseeding moves the dead prototype onto the embedding farthest from
     its nearest prototype and recomputes assignments; in that case the
-    targets are rebuilt from the fresh assignments.
+    targets are rebuilt from the fresh assignments.  Returns the targets
+    and the model's assignments ``p``, recomputed if anything was
+    reseeded.
     """
-    p = source_p
     for _ in range(protos.n_clusters + 1):
-        freq = p.sum(axis=0)
+        freq = source_p.sum(axis=0)
         dead = np.nonzero(freq == 0.0)[0]
         if dead.size == 0:
-            return target_distribution(p), p
+            return target_distribution(source_p), p
         k = int(dead[0])
         nearest = distances.exact(embeddings, protos.centers).min(axis=1)
         protos.centers[k] = embeddings[int(np.argmax(nearest))]
         warnings.append(f"epoch {epoch}: reseeded empty prototype {k}")
-        p = soft_assign(embeddings, protos)
+        source_p = p = soft_assign(embeddings, protos)
     raise DegenerateClusterError(k, "prototype reseeding did not restore cluster mass")
 
 
@@ -200,7 +220,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
 
     embeddings = forward(enc, x)
     p_full = soft_assign(embeddings, protos)
-    q, p_full = _refresh_targets(p_full, protos, embeddings, -1, warnings)
+    q, p_full = _refresh_targets(p_full, p_full, protos, embeddings, -1, warnings)
 
     state = None
     if config.variant in ("te", "tep"):
@@ -226,31 +246,29 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
         phase = "warmup" if epoch < config.warmup_epochs else "main"
         omega = ramp_weight(ramp, epoch)
         order = rng_for(config.seed, "shuffle", epoch).permutation(n)
+        ensemble = ema_corrected(state) if config.variant == "te" else None
         cons_total = 0.0
         n_batches = 0
         q_hash = _hash_matrix(q)
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
             xb = x[rows]
-            zb = forward(enc, xb)
-            p = soft_assign(zb, protos)
-            grad_z, grad_centers = kl_loss_gradients(zb, protos, q[rows])
-            if config.variant == "pi":
-                xb_prime = perturb(xb, config.perturb_sigma, perturb_seed, global_step)
-                p_prime = soft_assign(forward(enc, xb_prime), protos)
+            trace = _forward_trace(enc, xb)
+            sq, diff = distances.exact_with_differences(trace[0], protos.centers)
+            p = _kernel(sq, protos.alpha)
+            dlogw = _kl_dlogw(q[rows], p)
+            if config.variant in ("pi", "te"):
+                if config.variant == "pi":
+                    xb_prime = perturb(xb, config.perturb_sigma, perturb_seed, global_step)
+                    z_prime = _forward_trace(enc, xb_prime)[0]
+                    p_prime = _kernel(distances.exact(z_prime, protos.centers), protos.alpha)
+                else:
+                    p_prime = ensemble[rows]
                 closs, grad_p = consistency_loss(p, p_prime)
-                gz, gc = soft_assign_grads(zb, protos, omega * grad_p)
-                grad_z = grad_z + gz
-                grad_centers = grad_centers + gc
+                dlogw = dlogw + _assign_dlogw(p, omega * grad_p)
                 cons_total += closs
-            elif config.variant == "te":
-                p_prime = ema_corrected(state)[rows]
-                closs, grad_p = consistency_loss(p, p_prime)
-                gz, gc = soft_assign_grads(zb, protos, omega * grad_p)
-                grad_z = grad_z + gz
-                grad_centers = grad_centers + gc
-                cons_total += closs
-            enc_grads, _ = backward(enc, xb, grad_z)
+            grad_z, grad_centers = _vjp(diff, sq, protos.alpha, dlogw)
+            enc_grads, _ = _backward(enc, trace, grad_z)
             flat = [grad_centers]
             if enc.bottleneck is not None:
                 flat += [enc_grads.bottleneck[0], enc_grads.bottleneck[1]]
@@ -280,7 +298,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
         end_of_warmup = epoch == config.warmup_epochs - 1
         if end_of_warmup or phase == "main":
             source = ema_corrected(state) if config.variant == "tep" else p_full
-            q, _ = _refresh_targets(source, protos, embeddings, epoch, warnings)
+            q, p_full = _refresh_targets(source, p_full, protos, embeddings, epoch, warnings)
 
-    assignments, _ = predict(enc, protos, x)
-    return TrainTrace(records, assignments, protos, enc, warnings, state)
+    # The last full-set pass is what predict(enc, protos, x) computes.
+    return TrainTrace(records, p_full.argmax(axis=1), protos, enc, warnings, state)

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from transfercluster import distances
 from transfercluster.assignment import (
     Prototypes,
+    _assign_dlogw,
+    _kernel,
+    _kl_dlogw,
+    _vjp,
     consistency_loss,
     kl_loss,
     kl_loss_gradients,
@@ -65,6 +70,20 @@ class TestSoftAssign:
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             soft_assign(np.zeros((2, 3)), Prototypes(np.zeros((2, 2))))
+
+    def test_underflowing_row_stays_stochastic(self):
+        """At alpha = 100 a point 1e5 from every center has weights that all
+        underflow to 0; its row is recomputed in log space, and the other
+        rows keep the bits they have in a batch of their own."""
+        protos = Prototypes(np.array([[0.0, 0.0], [1.0, 0.0]]), alpha=100.0)
+        near = np.array([[0.2, 0.1], [0.9, -0.3]])
+        z = np.vstack([near, [[1e5, 0.0]]])
+        p = soft_assign(z, protos)
+        assert np.isfinite(p).all()
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15)
+        assert p[2].argmax() == 1
+        np.testing.assert_array_equal(p[:2], soft_assign(near, protos))
+        assert np.isfinite(kl_loss(target_distribution(p), p))
 
 
 class TestTargetDistribution:
@@ -242,3 +261,27 @@ class TestGradients:
         fd_z, fd_c = finite_difference(loss, [z, centers])
         assert rel_error(grad_z, fd_z) <= 1e-4
         assert rel_error(grad_c, fd_c) <= 1e-4
+
+    def test_fused_vjp_equals_sum_of_public_gradients(self):
+        """One chain of the summed KL and consistency terms matches the two
+        public gradient functions added together, and is bitwise equal to
+        the KL gradient alone when the consistency term is zero."""
+        rng = np.random.default_rng(52)
+        z = rng.normal(size=(7, 3))
+        protos = Prototypes(rng.normal(size=(4, 3)), alpha=1.5)
+        q = rng.dirichlet(np.ones(4), size=7)
+        grad_p = rng.normal(size=(7, 4))
+        sq, diff = distances.exact_with_differences(z, protos.centers)
+        p = _kernel(sq, protos.alpha)
+
+        fused_z, fused_c = _vjp(diff, sq, protos.alpha,
+                                _kl_dlogw(q, p) + _assign_dlogw(p, grad_p))
+        kl_z, kl_c = kl_loss_gradients(z, protos, q)
+        cons_z, cons_c = soft_assign_grads(z, protos, grad_p)
+        assert rel_error(fused_z, kl_z + cons_z) <= 1e-12
+        assert rel_error(fused_c, kl_c + cons_c) <= 1e-12
+
+        zero_z, zero_c = _vjp(diff, sq, protos.alpha,
+                              _kl_dlogw(q, p) + _assign_dlogw(p, np.zeros_like(p)))
+        np.testing.assert_array_equal(zero_z, kl_z)
+        np.testing.assert_array_equal(zero_c, kl_c)

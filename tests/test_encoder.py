@@ -6,6 +6,8 @@ import pytest
 from transfercluster.dataset import FeatureMatrix, LabeledSet, synth_mixture
 from transfercluster.encoder import (
     EncoderParams,
+    _backward,
+    _forward_trace,
     LayerParams,
     PretrainConfig,
     backward,
@@ -109,6 +111,17 @@ class TestBackward:
         for arr in flatten_grads(grads):
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
         np.testing.assert_array_equal(input_grad, np.zeros((5, 4)))
+
+    def test_kept_trace_gives_public_backward_bitwise(self):
+        rng = np.random.default_rng(8)
+        enc = random_encoder(rng)
+        x = rng.normal(size=(6, 4))
+        upstream = rng.normal(size=(6, 3))
+        kept_grads, kept_input = _backward(enc, _forward_trace(enc, x), upstream)
+        grads, input_grad = backward(enc, x, upstream)
+        for kept, public in zip(flatten_grads(kept_grads), flatten_grads(grads)):
+            np.testing.assert_array_equal(kept, public)
+        np.testing.assert_array_equal(kept_input, input_grad)
 
     def test_linear_encoder_matches_least_squares_gradient(self):
         """Quadratic loss through a purely linear map has a closed form.

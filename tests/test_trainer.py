@@ -5,13 +5,33 @@ import hashlib
 import numpy as np
 import pytest
 
-from transfercluster.assignment import Prototypes, soft_assign, target_distribution
+from transfercluster.assignment import (
+    Prototypes,
+    consistency_loss,
+    kl_loss_gradients,
+    soft_assign,
+    soft_assign_grads,
+    target_distribution,
+)
 from transfercluster.dataset import synth_mixture
-from transfercluster.encoder import EncoderParams, forward, pretrain_encoder, PretrainConfig
+from transfercluster.encoder import (
+    EncoderParams,
+    PretrainConfig,
+    backward,
+    forward,
+    pretrain_encoder,
+)
 from transfercluster.errors import ParameterError
 from transfercluster.kmeans import kmeans
 from transfercluster.metrics import clustering_accuracy
-from transfercluster.regularizers import EnsembleState, ema_corrected, ema_update
+from transfercluster.regularizers import (
+    EnsembleState,
+    ema_corrected,
+    ema_update,
+    perturb,
+    ramp_weight,
+)
+from transfercluster.seeding import derive_seed, rng_for
 from transfercluster.trainer import TrainConfig, initialize, predict, train
 
 
@@ -117,13 +137,35 @@ class TestTrain:
         assert [r.kl_loss for r in a.records] == [r.kl_loss for r in b.records]
 
     def test_predict_matches_final_assignments(self):
-        encoder, unlabeled, _ = small_problem(seed=10)
-        config = TrainConfig(k=3, warmup_epochs=1, main_epochs=2, seed=10)
-        ready, protos, _ = initialize(encoder, unlabeled, config)
-        trace = train(ready, protos, unlabeled, config)
-        labels, probs = predict(trace.encoder, trace.prototypes, unlabeled)
+        for variant, sep in (("baseline", 6.0), ("tep", 3.0)):
+            encoder, unlabeled, _ = small_problem(seed=10, sep=sep)
+            config = TrainConfig(k=3, variant=variant, warmup_epochs=1, main_epochs=2,
+                                 seed=10)
+            ready, protos, _ = initialize(encoder, unlabeled, config)
+            trace = train(ready, protos, unlabeled, config)
+            labels, probs = predict(trace.encoder, trace.prototypes, unlabeled)
+            np.testing.assert_array_equal(labels, trace.assignments)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        # tep refreshes its targets from the ensemble, whose argmax here
+        # differs from the assignments the trace must report.
+        assert (ema_corrected(trace.ensemble).argmax(axis=1) != trace.assignments).any()
+
+        # The third prototype keeps a sliver of mass at the start; the one
+        # epoch moves the embeddings until its kernel weights underflow, so
+        # the last refresh reseeds it and the assignments change.
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(scale=0.5, size=(20, 2)),
+                       rng.normal(scale=0.5, size=(20, 2)) + [6.0, 0.0]])
+        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        protos = Prototypes(np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 59.4]]), alpha=1000.0)
+        config = TrainConfig(k=3, warmup_epochs=0, main_epochs=1, batch_size=8,
+                             optimizer="adam", learning_rate=0.05, alpha=1000.0, seed=0)
+        trace = train(encoder, protos, x, config)
+        assert trace.warnings == ["epoch 0: reseeded empty prototype 2"]
+        labels, _ = predict(trace.encoder, trace.prototypes, x)
         np.testing.assert_array_equal(labels, trace.assignments)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        assert trace.records[-1].mass_hist[2] == 0
+        assert (labels == 2).any()
 
     def test_kl_declines_over_the_main_loop(self):
         """On an easy instance the final KL is no worse than the first
@@ -162,6 +204,61 @@ class TestVariants:
         np.testing.assert_array_equal(base.prototypes.centers, pi.prototypes.centers)
         assert all(r.consistency_loss == 0.0 for r in pi.records)
         assert [r.kl_loss for r in base.records] == [r.kl_loss for r in pi.records]
+
+    @pytest.mark.parametrize("variant", ["pi", "te"])
+    def test_step_matches_public_function_loop(self, variant):
+        """The fused step against the loop written with public functions
+        only, chaining the KL and consistency gradients separately."""
+        encoder, unlabeled, _ = small_problem(seed=18)
+        config = TrainConfig(k=3, variant=variant, perturb_sigma=0.2,
+                             warmup_epochs=1, main_epochs=1, seed=18)
+        ready, protos, _ = initialize(encoder, unlabeled, config)
+        trace = train(ready, protos, unlabeled, config)
+        assert not trace.warnings
+
+        x = unlabeled.values
+        enc, protos = ready.copy(), protos.copy()
+        params = [protos.centers, *enc.bottleneck]
+        for layer in enc.layers:
+            params += [layer.weights, layer.bias]
+        velocity = [np.zeros_like(p) for p in params]
+        p_full = soft_assign(forward(enc, x), protos)
+        q = target_distribution(p_full)
+        state = ema_update(EnsembleState.zeros(*p_full.shape, config.ema_momentum), p_full)
+        perturb_seed = derive_seed(config.seed, "perturb-stream")
+        step = 0
+        for epoch in range(2):
+            omega = ramp_weight(config.ramp_schedule(), epoch)
+            order = rng_for(config.seed, "shuffle", epoch).permutation(len(x))
+            for start in range(0, len(x), config.batch_size):
+                rows = order[start : start + config.batch_size]
+                xb = x[rows]
+                zb = forward(enc, xb)
+                kl_z, kl_c = kl_loss_gradients(zb, protos, q[rows])
+                if variant == "pi":
+                    xb_prime = perturb(xb, config.perturb_sigma, perturb_seed, step)
+                    p_prime = soft_assign(forward(enc, xb_prime), protos)
+                else:
+                    p_prime = ema_corrected(state)[rows]
+                _, grad_p = consistency_loss(soft_assign(zb, protos), p_prime)
+                cons_z, cons_c = soft_assign_grads(zb, protos, omega * grad_p)
+                enc_grads, _ = backward(enc, xb, kl_z + cons_z)
+                grads = [kl_c + cons_c, *enc_grads.bottleneck]
+                for gw, gb in enc_grads.layers:
+                    grads += [gw, gb]
+                for param, v, g in zip(params, velocity, grads):
+                    v *= config.momentum
+                    v += g
+                    param -= config.learning_rate * v
+                step += 1
+            p_full = soft_assign(forward(enc, x), protos)
+            state = ema_update(state, p_full)
+            q = target_distribution(p_full)
+
+        labels, _ = predict(enc, protos, x)
+        np.testing.assert_array_equal(trace.assignments, labels)
+        scale = np.abs(protos.centers).max()
+        assert np.abs(trace.prototypes.centers - protos.centers).max() <= 1e-12 * scale
 
     def test_pi_consistency_positive_with_noise(self):
         encoder, unlabeled, _ = small_problem(seed=12)
