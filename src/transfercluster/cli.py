@@ -9,7 +9,6 @@ and ``sweep``.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -18,7 +17,6 @@ import numpy as np
 from . import __version__
 from .dataset import (
     LabeledSet,
-    ProbeSplit,
     load_features,
     load_labeled,
     read_text,
@@ -32,8 +30,7 @@ from .estimator import default_threads, estimate_class_count, parallel_map, swee
 from .manifest import file_digest, read_manifest, write_manifest
 from .metrics import count_error, evaluate_clustering
 from .regularizers import RampSchedule
-from .seeding import rng_for
-from .trainer import TrainConfig, initialize, predict, train
+from .trainer import TrainConfig, initialize, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,15 +39,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _ext(format):
-    return "csv" if format == "csv" else "dtcf"
+def _write_rows(path, header, rows):
+    """Write ``header`` and one comma-joined line per row.
 
-
-def _write_pairs(path, header, pairs):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for key, value in pairs:
-            fh.write(f"{key},{value}\n")
+    Values are written with ``str``, which for a Python float is its
+    shortest round-trip ``repr``.
+    """
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_id_value_file(path, column):
@@ -64,6 +60,8 @@ def _read_id_value_file(path, column):
             parts = line.split(",")
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected 2 fields")
+            if parts[0] in mapping:
+                raise DataError(f"{path}: line {lineno}: repeated id '{parts[0]}'")
             try:
                 mapping[parts[0]] = int(parts[1])
             except ValueError:
@@ -79,8 +77,8 @@ def _read_id_value_file(path, column):
     raise DataError(f"{path}: expected an 'id,{column}' file or a labelled feature CSV")
 
 
-def _manifest(ns, argv, command, inputs, outputs, skip=("func", "out_dir")):
-    config = {k: v for k, v in vars(ns).items() if k not in skip and not callable(v)}
+def _manifest(ns, argv, command, inputs, outputs):
+    config = {k: v for k, v in vars(ns).items() if k != "out_dir" and not callable(v)}
     path = Path(ns.out_dir) / f"{command}.manifest"
     write_manifest(path, command, argv, config, inputs, outputs, __version__)
     return path
@@ -98,13 +96,13 @@ def cmd_synth(ns, argv):
         ns.dim, ns.sep, ns.seed,
     )
     out = _out_dir(ns)
-    ext = _ext(ns.format)
+    ext = "csv" if ns.format == "csv" else "dtcf"
     labeled_path = out / f"labeled.{ext}"
     unlabeled_path = out / f"unlabeled.{ext}"
     truth_path = out / "unlabeled_truth.csv"
     save_features(labeled_path, labeled.features, ns.format, labels=labeled.labels)
     save_features(unlabeled_path, unlabeled, ns.format)
-    _write_pairs(truth_path, "id,label", zip(unlabeled.ids, truth.tolist()))
+    _write_rows(truth_path, "id,label", zip(unlabeled.ids, truth.tolist()))
     _manifest(ns, argv, "synth", {}, {
         "labeled": labeled_path, "unlabeled": unlabeled_path, "truth": truth_path,
     })
@@ -127,36 +125,12 @@ def cmd_pretrain(ns, argv):
 def _estimate(ns, encoder, data):
     """Count estimate for ``data`` with the probe file and split flags in ``ns``."""
     probe = load_labeled(ns.probe, ns.format)
-    if ns.n_probe is not None:
-        split = split_probes(probe, ns.n_probe, ns.anchor_ratio, ns.seed)
-    else:
-        split = _split_all_classes(probe.n_classes, ns.anchor_ratio, ns.seed)
+    split = split_probes(probe, ns.n_probe, ns.anchor_ratio, ns.seed)
     embedded_probe = LabeledSet(forward(encoder, probe.features), probe.labels)
     return estimate_class_count(
         embedded_probe, forward(encoder, data), split,
         ns.k_max, ns.tau, ns.seed, threads=default_threads(),
     )
-
-
-def _auto_k(ns, encoder, data, out):
-    report = _estimate(ns, encoder, data)
-    sweep_path = out / "auto_k_sweep.csv"
-    sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
-    print(f"estimated k_final={report.k_final} (k_hat={report.k_hat})")
-    return report, sweep_path
-
-
-def _split_all_classes(n_classes, anchor_ratio, seed) -> ProbeSplit:
-    """Anchor/validation partition when the whole file is the probe set."""
-    if n_classes < 2:
-        raise ParameterError("probe file must contain at least 2 classes")
-    if not 0.0 < anchor_ratio < 1.0:
-        raise ParameterError(f"anchor_ratio must be in (0, 1), got {anchor_ratio}")
-    order = rng_for(seed, "split-probes").permutation(n_classes)
-    n_anchor = int(np.floor(anchor_ratio * n_classes + 0.5))
-    n_anchor = min(max(n_anchor, 1), n_classes - 1)
-    return ProbeSplit(frozenset(order[:n_anchor].tolist()),
-                      frozenset(order[n_anchor:].tolist()))
 
 
 def _run_cluster(encoder, data, ns, k):
@@ -185,33 +159,33 @@ def cmd_cluster(ns, argv):
     outputs = {}
     k = ns.k
     if k is None:
-        report, sweep_path = _auto_k(ns, encoder, data, out)
+        report = _estimate(ns, encoder, data)
+        sweep_path = out / "auto_k_sweep.csv"
+        sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
+        print(f"estimated k_final={report.k_final} (k_hat={report.k_hat})")
         outputs["auto_k_sweep"] = sweep_path
         inputs["probe"] = ns.probe
         k = report.k_final
     _, trace = _run_cluster(encoder, data, ns, k)
 
     assignments_path = out / "assignments.csv"
-    _write_pairs(assignments_path, "id,cluster",
-                 zip(data.ids, trace.assignments.tolist()))
+    _write_rows(assignments_path, "id,cluster", zip(data.ids, trace.assignments.tolist()))
     trace_path = out / "trace.csv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,phase,kl_loss,consistency_loss,omega\n")
-        for rec in trace.records:
-            fh.write(f"{rec.epoch},{rec.phase},{rec.kl_loss!r},"
-                     f"{rec.consistency_loss!r},{rec.omega!r}\n")
+    _write_rows(trace_path, "epoch,phase,kl_loss,consistency_loss,omega",
+                ((r.epoch, r.phase, r.kl_loss, r.consistency_loss, r.omega)
+                 for r in trace.records))
     outputs.update({"assignments": assignments_path, "trace": trace_path})
     if ns.truth:
-        truth_map = _read_id_value_file(ns.truth, "label")
-        truth = _join_ids(truth_map, data.ids, ns.truth)
-        report = evaluate_clustering(truth, trace.assignments)
+        report = evaluate_clustering(_read_truth(ns.truth, data.ids), trace.assignments)
         inputs["truth"] = ns.truth
         print(f"acc={report.acc!r} nmi={report.nmi!r}")
     _manifest(ns, argv, "cluster", inputs, outputs)
     print(f"wrote {assignments_path}")
 
 
-def _join_ids(mapping, ids, path):
+def _read_truth(path, ids):
+    """Labels of ``ids``, in order, from an ``id,label`` file that lists exactly them."""
+    mapping = _read_id_value_file(path, "label")
     missing = [i for i in ids if i not in mapping]
     id_set = set(ids)
     extra = [i for i in mapping if i not in id_set]
@@ -247,26 +221,20 @@ def cmd_estimate_k(ns, argv):
 
 def cmd_eval(ns, argv):
     assignments = _read_id_value_file(ns.assignments, "cluster")
-    truth = _read_id_value_file(ns.truth, "label")
     ids = sorted(assignments)
-    truth_values = _join_ids(truth, ids, ns.truth)
+    truth_values = _read_truth(ns.truth, ids)
     predicted = np.array([assignments[i] for i in ids], dtype=np.int64)
     report = evaluate_clustering(truth_values, predicted)
     k_err = count_error(len(set(truth_values.tolist())), len(set(predicted.tolist())))
     out = _out_dir(ns)
+    pairs = [("acc", report.acc), ("nmi", report.nmi), ("count_error", k_err),
+             ("n_points", report.n_points)]
     if ns.format == "csv":
-        text = ("metric,value\n"
-                f"acc,{report.acc!r}\n"
-                f"nmi,{report.nmi!r}\n"
-                f"count_error,{k_err}\n"
-                f"n_points,{report.n_points}\n")
-        report_path = out / "eval_report.csv"
+        lines, sep, report_path = ["metric,value"], ",", out / "eval_report.csv"
     else:
-        text = (f"acc={report.acc!r}\n"
-                f"nmi={report.nmi!r}\n"
-                f"count_error={k_err}\n"
-                f"n_points={report.n_points}\n")
-        report_path = out / "eval_report.txt"
+        lines, sep, report_path = [], "=", out / "eval_report.txt"
+    lines += [f"{metric}{sep}{value}" for metric, value in pairs]
+    text = "\n".join(lines) + "\n"
     report_path.write_text(text, encoding="utf-8")
     _manifest(ns, argv, "eval",
               {"assignments": ns.assignments, "truth": ns.truth},
@@ -288,8 +256,7 @@ def cmd_sweep(ns, argv):
         raise ParameterError("sweep needs --truth to score each point")
     encoder = load_encoder(ns.encoder)
     data = load_features(ns.data, ns.format)
-    truth_map = _read_id_value_file(ns.truth, "label")
-    truth = _join_ids(truth_map, data.ids, ns.truth)
+    truth = _read_truth(ns.truth, data.ids)
 
     def run_point(value):
         point = argparse.Namespace(**vars(ns))
@@ -306,10 +273,7 @@ def cmd_sweep(ns, argv):
     rows = parallel_map(run_point, values, default_threads())
     out = _out_dir(ns)
     table_path = out / "sweep_results.csv"
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("value,acc,nmi\n")
-        for value, acc, score in rows:
-            fh.write(f"{value},{acc!r},{score!r}\n")
+    _write_rows(table_path, "value,acc,nmi", rows)
     _manifest(ns, argv, "sweep",
               {"encoder": ns.encoder, "data": ns.data, "truth": ns.truth},
               {"table": table_path})
@@ -358,6 +322,14 @@ def _add_cluster_flags(sub):
     sub.add_argument("--truth", default=None, help="id,label file for reporting accuracy")
 
 
+def _add_estimate_flags(sub):
+    sub.add_argument("--n-probe", type=int, default=None,
+                     help="hold out this many probe classes (default: all)")
+    sub.add_argument("--anchor-ratio", type=float, default=0.8)
+    sub.add_argument("--k-max", type=int, default=100)
+    sub.add_argument("--tau", type=float, default=0.01)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="transfercluster", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -387,11 +359,7 @@ def build_parser() -> _Parser:
     cluster.add_argument("--auto-k", action="store_true",
                          help="estimate k from probe classes first")
     cluster.add_argument("--probe", default=None, help="labelled probe file for --auto-k")
-    cluster.add_argument("--n-probe", type=int, default=None,
-                         help="hold out this many probe classes (default: all)")
-    cluster.add_argument("--anchor-ratio", type=float, default=0.8)
-    cluster.add_argument("--k-max", type=int, default=100)
-    cluster.add_argument("--tau", type=float, default=0.01)
+    _add_estimate_flags(cluster)
     cluster.add_argument("--bottleneck", type=int, default=None,
                          help="bottleneck dimension (default: k)")
     _add_common(cluster)
@@ -401,11 +369,7 @@ def build_parser() -> _Parser:
     estimate.add_argument("--encoder", required=True)
     estimate.add_argument("--probe", required=True, help="labelled probe feature file")
     estimate.add_argument("--data", required=True, help="unlabelled feature file")
-    estimate.add_argument("--n-probe", type=int, default=None,
-                          help="hold out this many probe classes (default: all)")
-    estimate.add_argument("--anchor-ratio", type=float, default=0.8)
-    estimate.add_argument("--k-max", type=int, default=100)
-    estimate.add_argument("--tau", type=float, default=0.01)
+    _add_estimate_flags(estimate)
     _add_common(estimate)
     estimate.set_defaults(func=cmd_estimate_k)
 

@@ -274,16 +274,21 @@ def save_features(path, features: FeatureMatrix, format: str = "csv",
                 fh.write(labels.astype("<u4").tobytes())
 
 
-def split_probes(labeled: LabeledSet, n_probe: int, anchor_ratio: float = 0.8,
+def split_probes(labeled: LabeledSet, n_probe: int | None, anchor_ratio: float = 0.8,
                  seed: int = 0) -> ProbeSplit:
     """Hold out ``n_probe`` whole classes as probes, split anchor:validation.
 
-    The anchor set gets round(anchor_ratio * n_probe) classes, clamped so
-    both anchor and validation keep at least one class.  Deterministic
-    given the seed.
+    ``n_probe=None`` makes every class a probe and leaves no training
+    classes.  The anchor set gets round(anchor_ratio * n_probe) classes,
+    clamped so both anchor and validation keep at least one class.
+    Deterministic given the seed.
     """
     n_classes = labeled.n_classes
-    if n_probe < 2 or n_probe >= n_classes:
+    if n_probe is None:
+        if n_classes < 2:
+            raise ParameterError(f"a probe split needs at least 2 classes, got {n_classes}")
+        n_probe = n_classes
+    elif n_probe < 2 or n_probe >= n_classes:
         raise ParameterError(
             f"n_probe must satisfy 2 <= n_probe < {n_classes}, got {n_probe}"
         )

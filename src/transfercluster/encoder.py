@@ -344,7 +344,8 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
             xb, yb = x[rows], y[rows]
-            trunk_out = forward(encoder, xb)
+            trace = _forward_trace(encoder, xb)
+            trunk_out = trace[0]
             logits = trunk_out @ head_w.T + head_b
             probs = _softmax(logits)
             batch_n = len(rows)
@@ -356,7 +357,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
             dlogits /= batch_n
             grad_head_w = dlogits.T @ trunk_out
             grad_head_b = dlogits.sum(axis=0)
-            grads_enc, _ = backward(encoder, xb, dlogits @ head_w)
+            grads_enc, _ = _backward(encoder, trace, dlogits @ head_w)
             flat_grads = [g for g, _ in grads_enc.layers] + [g for _, g in grads_enc.layers]
             flat_grads += [grad_head_w, grad_head_b]
             opt.step(flat_grads)

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from transfercluster.cli import main
+from transfercluster.dataset import LabeledSet, load_features, load_labeled, split_probes
+from transfercluster.encoder import forward, load_encoder
+from transfercluster.estimator import estimate_class_count, sweep_report_to_csv
 from transfercluster.manifest import read_manifest
 
 
@@ -158,6 +161,22 @@ class TestEstimateK:
         assert len(sweep) == 2
         assert sweep[1].startswith("0,")
 
+    def test_without_n_probe_every_class_is_a_probe(self, synth_dir, encoder_path,
+                                                     tmp_path):
+        out = tmp_path / "est"
+        assert run("estimate-k", "--encoder", encoder_path,
+                   "--probe", synth_dir / "labeled.csv",
+                   "--data", synth_dir / "unlabeled.csv",
+                   "--k-max", 5, "--seed", 2, "--out-dir", out) == 0
+        encoder = load_encoder(encoder_path)
+        probe = load_labeled(synth_dir / "labeled.csv", "csv")
+        data = load_features(synth_dir / "unlabeled.csv", "csv")
+        report = estimate_class_count(
+            LabeledSet(forward(encoder, probe.features), probe.labels),
+            forward(encoder, data), split_probes(probe, None, 0.8, 2), 5, 0.01, 2,
+        )
+        assert (out / "sweep.csv").read_text() == sweep_report_to_csv(report)
+
 
 class TestEval:
     def test_relabeled_truth_scores_one(self, tmp_path):
@@ -277,12 +296,16 @@ class TestErrorPaths:
                    "--k", 2, "--out-dir", tmp_path / "x") == 2
 
     @pytest.mark.parametrize("case", ["dtce-header-only", "csv-not-utf8",
-                                      "truth-not-utf8", "dtcf-no-columns"])
+                                      "truth-not-utf8", "dtcf-no-columns",
+                                      "truth-repeated-id", "assignments-repeated-id"])
     def test_malformed_file_is_data_error(self, synth_dir, encoder_path, tmp_path,
                                           capsys, case):
         bad = tmp_path / "bad"
+        truth = synth_dir / "unlabeled_truth.csv"
         files = {"--encoder": encoder_path, "--data": synth_dir / "unlabeled.csv",
-                 "--truth": synth_dir / "unlabeled_truth.csv", "--format": "csv"}
+                 "--truth": truth, "--format": "csv"}
+        command = ("cluster", "--k", 2, "--warmup", 0, "--epochs", 0)
+        error = f"error: {bad}"
         if case == "dtce-header-only":
             bad.write_bytes(encoder_path.read_bytes()[:10])
             files["--encoder"] = bad
@@ -290,15 +313,21 @@ class TestErrorPaths:
             bad.write_bytes(b"id,f0\n\xff,1.0\n")
             files["--data"] = bad
         elif case == "truth-not-utf8":
-            bad.write_bytes((synth_dir / "unlabeled_truth.csv").read_bytes() + b"\xff,0\n")
+            bad.write_bytes(truth.read_bytes() + b"\xff,0\n")
             files["--truth"] = bad
+        elif case.endswith("repeated-id"):
+            assert "\nu1,0\n" in truth.read_text()
+            bad.write_text(truth.read_text() + "u1,1\n")
+            files = {"--assignments": truth, "--truth": truth}
+            files["--" + case.split("-")[0]] = bad
+            command = ("eval",)
+            error = f"error: {bad}: line 77: repeated id 'u1'"
         else:
             bad.write_bytes(struct.pack("<4sBIIB", b"DTCF", 1, 2, 0, 0))
             files.update({"--data": bad, "--format": "binary"})
         argv = [token for pair in files.items() for token in pair]
-        assert run("cluster", *argv, "--k", 2, "--warmup", 0, "--epochs", 0,
-                   "--out-dir", tmp_path / "x") == 2
-        assert f"error: {bad}" in capsys.readouterr().err
+        assert run(*command, *argv, "--out-dir", tmp_path / "x") == 2
+        assert error in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert run("frobnicate") == 1

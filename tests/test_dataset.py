@@ -148,6 +148,21 @@ class TestSplitProbes:
         with pytest.raises(ParameterError):
             split_probes(labeled, 1, 0.8, 0)
 
+    @pytest.mark.parametrize("n_classes,ratio,n_anchor",
+                             [(2, 0.8, 1), (3, 0.01, 1), (4, 0.5, 2), (5, 0.8, 4),
+                              (10, 0.05, 1), (10, 0.99, 9)])
+    def test_none_makes_every_class_a_probe(self, n_classes, ratio, n_anchor):
+        labeled = self._labeled(n_classes)
+        split = split_probes(labeled, None, ratio, seed=7)
+        assert split.probe_classes == set(range(n_classes))
+        assert split.training_classes == frozenset()
+        assert len(split.anchor_classes) == n_anchor
+        assert split_probes(labeled, None, ratio, seed=7) == split
+
+    def test_none_needs_two_classes(self):
+        with pytest.raises(ParameterError):
+            split_probes(self._labeled(1), None, 0.8, 0)
+
 
 class TestSynthMixture:
     def test_sizes(self):
