@@ -166,6 +166,9 @@ def cmd_cluster(ns, argv):
         outputs["auto_k_sweep"] = sweep_path
         inputs["probe"] = ns.probe
         k = report.k_final
+        if k < 2:
+            raise DataError(f"estimated k_final={k} (k_hat={report.k_hat}); "
+                            "clustering needs at least 2 clusters")
     _, trace = _run_cluster(encoder, data, ns, k)
 
     assignments_path = out / "assignments.csv"

@@ -31,6 +31,8 @@ _ACTIVATIONS = {
 _ACTIVATION_TAGS = {"linear": 0, "tanh": 1}
 _TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
 
+MOMENTUM = 0.9   # SGD momentum of pretraining and clustering, as in DEC
+
 
 @dataclass
 class LayerParams:
@@ -97,6 +99,12 @@ class EncoderParams:
             bn = (self.bottleneck[0].copy(), self.bottleneck[1].copy())
         return EncoderParams(layers, bn, self.input_dim)
 
+    def arrays(self) -> list[np.ndarray]:
+        """Trainable arrays: bottleneck ``(A, b)`` if installed, then each
+        layer's ``(weights, bias)``; the optimizer updates them in place."""
+        head = list(self.bottleneck) if self.bottleneck is not None else []
+        return head + [a for l in self.layers for a in (l.weights, l.bias)]
+
 
 @dataclass
 class EncoderGradients:
@@ -104,6 +112,11 @@ class EncoderGradients:
 
     layers: list[tuple[np.ndarray, np.ndarray]]
     bottleneck: tuple[np.ndarray, np.ndarray] | None
+
+    def arrays(self) -> list[np.ndarray]:
+        """Gradients in the order of :meth:`EncoderParams.arrays`."""
+        head = list(self.bottleneck) if self.bottleneck is not None else []
+        return head + [g for pair in self.layers for g in pair]
 
 
 @dataclass
@@ -245,11 +258,9 @@ def install_bottleneck(encoder: EncoderParams, pca: PcaModel) -> EncoderParams:
 @dataclass
 class PretrainConfig:
     hidden: tuple[int, ...] = (64,)
-    activation: str = "tanh"
     epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 0.1
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -259,15 +270,14 @@ class PretrainConfig:
 
 
 class _SgdMomentum:
-    def __init__(self, params, momentum, lr):
+    def __init__(self, params, lr):
         self.params = params
-        self.momentum = momentum
         self.lr = lr
         self.velocity = [np.zeros_like(p) for p in params]
 
     def step(self, grads):
         for p, v, g in zip(self.params, self.velocity, grads):
-            v *= self.momentum
+            v *= MOMENTUM
             v += g
             p -= self.lr * v
 
@@ -281,7 +291,8 @@ class PretrainResult:
 
 
 def _init_trunk(input_dim, config: PretrainConfig, sample: np.ndarray, seed: int):
-    """Glorot init rescaled so each unit's preactivation has unit spread."""
+    """Tanh layers, Glorot init rescaled so each unit's preactivation has
+    unit spread."""
     layers = []
     h = sample
     dim = input_dim
@@ -294,12 +305,10 @@ def _init_trunk(input_dim, config: PretrainConfig, sample: np.ndarray, seed: int
         spread = np.maximum(pre.std(axis=0), 1e-3)
         w /= spread[:, None]
         b /= spread
-        layer = LayerParams(w, b, config.activation)
-        layers.append(layer)
-        act, _ = _ACTIVATIONS[layer.activation]
-        h = act(h @ layer.weights.T + layer.bias)
+        layers.append(LayerParams(w, b))
+        h = np.tanh(h @ w.T + b)
         dim = width
-    return layers, h
+    return layers
 
 
 def _softmax(logits):
@@ -324,7 +333,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
     y = labeled.labels
     n, input_dim = x.shape
 
-    layers, _ = _init_trunk(input_dim, config, x, seed)
+    layers = _init_trunk(input_dim, config, x, seed)
     encoder = EncoderParams(layers, None, input_dim)
     trunk_dim = encoder.trunk_output_dim
     rng = rng_for(seed, "pretrain-head")
@@ -332,9 +341,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
     head_w = rng.uniform(-limit, limit, size=(n_classes, trunk_dim))
     head_b = np.zeros(n_classes)
 
-    params = [l.weights for l in encoder.layers] + [l.bias for l in encoder.layers]
-    params += [head_w, head_b]
-    opt = _SgdMomentum(params, config.momentum, config.learning_rate)
+    opt = _SgdMomentum([*encoder.arrays(), head_w, head_b], config.learning_rate)
     batch_size = min(config.batch_size, n)
     losses = []
     for epoch in range(config.epochs):
@@ -358,9 +365,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
             grad_head_w = dlogits.T @ trunk_out
             grad_head_b = dlogits.sum(axis=0)
             grads_enc, _ = _backward(encoder, trace, dlogits @ head_w)
-            flat_grads = [g for g, _ in grads_enc.layers] + [g for _, g in grads_enc.layers]
-            flat_grads += [grad_head_w, grad_head_b]
-            opt.step(flat_grads)
+            opt.step([*grads_enc.arrays(), grad_head_w, grad_head_b])
         mean_loss = epoch_loss / n_batches
         if not np.isfinite(mean_loss):
             raise NumericalError(f"pretraining diverged at epoch {epoch}")

@@ -75,15 +75,6 @@ def parallel_map(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _run_candidate(k, stacked, anchors, n_probe_classes, val_rows, val_labels,
-                   seed, n_init, max_iter):
-    result = constrained_kmeans(stacked, n_probe_classes + k, anchors,
-                                seed=derive_seed(seed, "sweep", k),
-                                n_init=n_init, max_iter=max_iter)
-    acc, _ = clustering_accuracy(val_labels, result.assignment[val_rows])
-    return acc, result
-
-
 def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
                          k_max: int, tau: float = 0.01, seed: int = 0,
                          n_init: int = 10, max_iter: int = 300,
@@ -143,8 +134,11 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
     unlabeled_slice = slice(n_probe, n_probe + x_unlabeled.shape[0])
 
     def run(k):
-        return _run_candidate(k, stacked, anchors, n_probe_classes, val_rows,
-                              val_labels, seed, n_init, max_iter)
+        result = constrained_kmeans(stacked, n_probe_classes + k, anchors,
+                                    seed=derive_seed(seed, "sweep", k),
+                                    n_init=n_init, max_iter=max_iter)
+        acc, _ = clustering_accuracy(val_labels, result.assignment[val_rows])
+        return acc, result
 
     candidates = range(k_max + 1)
     outcomes = parallel_map(run, candidates, threads if threads is not None else 1)

@@ -88,13 +88,14 @@ def _plusplus_init(x, n_new, rng, existing=None):
     chosen = np.empty((n_new, x.shape[1]))
     if n_new == 0:
         return chosen
+    x_sq = np.einsum("nc,nc->n", x, x)
     if existing is not None and len(existing):
-        d2 = distances.expanded(x, np.asarray(existing)).min(axis=1)
+        d2 = distances.expanded(x, np.asarray(existing), x_sq).min(axis=1)
         start = 0
     else:
         first = int(rng.integers(n))
         chosen[0] = x[first]
-        d2 = distances.expanded(x, chosen[:1])[:, 0]
+        d2 = distances.expanded(x, chosen[:1], x_sq)[:, 0]
         start = 1
     for j in range(start, n_new):
         total = d2.sum()
@@ -103,7 +104,7 @@ def _plusplus_init(x, n_new, rng, existing=None):
         else:
             idx = int(rng.integers(n))
         chosen[j] = x[idx]
-        d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1], x_sq)[:, 0])
     return chosen
 
 

@@ -77,16 +77,11 @@ class TrainConfig:
     main_epochs: int = 90
     batch_size: int = 64
     learning_rate: float = 0.05
-    momentum: float = 0.9
     ema_momentum: float = 0.6
     ramp: RampSchedule | None = None
     perturb_sigma: float = 0.1
     seed: int = 0
     bottleneck_dim: int | None = None   # defaults to k
-    alpha: float = 1.0
-    optimizer: str = "sgd"
-    freeze_trunk: bool = False
-    kmeans_restarts: int = 10
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -99,8 +94,6 @@ class TrainConfig:
             raise ParameterError("learning rate must be positive")
         if self.batch_size < 1:
             raise ParameterError("batch size must be at least 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ParameterError(f"optimizer must be 'sgd' or 'adam', got '{self.optimizer}'")
 
     @property
     def c(self) -> int:
@@ -149,8 +142,8 @@ def initialize(encoder: EncoderParams, unlabeled, config: TrainConfig):
     pca = fit_pca(trunk_features, config.c)
     ready = install_bottleneck(encoder, pca)
     embeddings = forward(ready, x)
-    km = kmeans(embeddings, config.k, seed=config.seed, n_init=config.kmeans_restarts)
-    protos = Prototypes(km.centers.copy(), config.alpha)
+    km = kmeans(embeddings, config.k, seed=config.seed)
+    protos = Prototypes(km.centers.copy())
     q = target_distribution(soft_assign(embeddings, protos))
     return ready, protos, q
 
@@ -159,27 +152,6 @@ def predict(encoder: EncoderParams, protos: Prototypes, batch):
     """Cluster index per row (argmax assignment, lowest index on ties)."""
     probs = soft_assign(forward(encoder, as_values(batch)), protos)
     return probs.argmax(axis=1), probs
-
-
-class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, grads):
-        self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
-        for p, m, v, g in zip(self.params, self.m, self.v, grads):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
 def _refresh_targets(source_p, p, protos, embeddings, epoch, warnings):
@@ -226,16 +198,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
     if config.variant in ("te", "tep"):
         state = ema_update(EnsembleState.zeros(n, protos.n_clusters, config.ema_momentum), p_full)
 
-    params = [protos.centers]
-    if enc.bottleneck is not None:
-        params += [enc.bottleneck[0], enc.bottleneck[1]]
-    if not config.freeze_trunk:
-        for layer in enc.layers:
-            params += [layer.weights, layer.bias]
-    if config.optimizer == "adam":
-        opt = _Adam(params, config.learning_rate)
-    else:
-        opt = _SgdMomentum(params, config.momentum, config.learning_rate)
+    opt = _SgdMomentum([protos.centers, *enc.arrays()], config.learning_rate)
 
     perturb_seed = derive_seed(config.seed, "perturb-stream")
     batch_size = min(config.batch_size, n)
@@ -269,13 +232,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
                 cons_total += closs
             grad_z, grad_centers = _vjp(diff, sq, protos.alpha, dlogw)
             enc_grads, _ = _backward(enc, trace, grad_z)
-            flat = [grad_centers]
-            if enc.bottleneck is not None:
-                flat += [enc_grads.bottleneck[0], enc_grads.bottleneck[1]]
-            if not config.freeze_trunk:
-                for gw, gb in enc_grads.layers:
-                    flat += [gw, gb]
-            opt.step(flat)
+            opt.step([grad_centers, *enc_grads.arrays()])
             global_step += 1
             n_batches += 1
 

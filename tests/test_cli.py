@@ -103,6 +103,23 @@ class TestCluster:
         assert (out / "auto_k_sweep.csv").exists()
         assert (out / "assignments.csv").exists()
 
+    def test_auto_k_below_two_is_data_error(self, tmp_path, capsys):
+        """An estimate of one novel class is a data outcome, not a usage error."""
+        data, enc, out = tmp_path / "data", tmp_path / "enc", tmp_path / "run"
+        assert run("synth", "--labeled-classes", 5, "--unlabeled-classes", 4,
+                   "--per-class", 40, "--dim", 12, "--sep", 6, "--seed", 1,
+                   "--out-dir", data) == 0
+        assert run("pretrain", "--labeled", data / "labeled.csv", "--hidden", 32,
+                   "--epochs", 10, "--seed", 1, "--out-dir", enc) == 0
+        code = run("cluster", "--encoder", enc / "encoder.dtce",
+                   "--data", data / "unlabeled.csv", "--auto-k",
+                   "--probe", data / "labeled.csv", "--k-max", 6,
+                   "--warmup", 1, "--epochs", 2, "--seed", 3, "--out-dir", out)
+        assert code == 2
+        assert "k_final=1 (k_hat=1)" in capsys.readouterr().err
+        assert (out / "auto_k_sweep.csv").exists()
+        assert not (out / "assignments.csv").exists()
+
     def test_k_or_auto_k_required(self, synth_dir, encoder_path, tmp_path):
         assert run("cluster", "--encoder", encoder_path,
                    "--data", synth_dir / "unlabeled.csv",

@@ -1,8 +1,11 @@
-"""Every module under src/transfercluster uses each name it imports.
+"""Every module under src/transfercluster uses each name it imports, and
+every private module-level function or class is used somewhere in it.
 
-There is no linter in the toolchain, so this standard-library check
-guards against imports left behind when code moves.  ``__init__.py`` is
-exempt: its imports are the package's public re-exports.
+There is no linter in the toolchain, so these standard-library checks
+guard against imports and helpers left behind when code moves.
+``__init__.py`` is exempt from the import check: its imports are the
+package's public re-exports.  Tests do not count as uses of a private
+helper, so a helper kept alive only by its tests is reported.
 """
 
 import ast
@@ -36,3 +39,34 @@ def test_detects_unused_names():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private top-level function or class that no
+    source in ``sources`` (module name -> text) refers to."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(d for d in defined if d.split(".", 1)[1] not in referenced)
+
+
+def test_detects_unreferenced_private_names():
+    sources = {
+        "encoder": "class _SgdMomentum:\n    pass\ndef _helper():\n    pass\n",
+        "trainer": "from . import encoder\nfrom .encoder import _SgdMomentum\n"
+                   "class _Adam:\n    pass\nopt = _SgdMomentum()\nencoder._helper()\n",
+    }
+    assert unreferenced_private(sources) == ["trainer._Adam"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private(sources) == []
