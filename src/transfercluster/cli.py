@@ -137,7 +137,7 @@ def _run_cluster(encoder, data, ns, k):
     config = TrainConfig(
         k=k, variant=ns.variant, warmup_epochs=ns.warmup, main_epochs=ns.epochs,
         batch_size=ns.batch_size, learning_rate=ns.lr, ema_momentum=ns.ema_momentum,
-        ramp=RampSchedule(ns.ramp) if ns.ramp else None,
+        ramp=RampSchedule(ns.ramp) if ns.ramp is not None else None,
         perturb_sigma=ns.sigma, seed=ns.seed, bottleneck_dim=ns.bottleneck,
     )
     ready, protos, _ = initialize(encoder, data, config)

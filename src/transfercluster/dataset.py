@@ -221,12 +221,15 @@ def _check_format(format: str):
         raise ParameterError(f"unknown format '{format}' (use 'csv' or 'binary')")
 
 
+def _load(path, format: str):
+    """``(features, labels or None)`` from a file in either format."""
+    _check_format(format)
+    return (_load_csv if format == "csv" else _load_binary)(path)
+
+
 def load_features(path, format: str = "csv") -> FeatureMatrix:
     """Load a feature file, validating shape, finiteness and id uniqueness."""
-    _check_format(format)
-    loader = _load_csv if format == "csv" else _load_binary
-    features, _ = loader(path)
-    return features
+    return _load(path, format)[0]
 
 
 def load_labeled(path, format: str = "csv") -> LabeledSet:
@@ -234,9 +237,7 @@ def load_labeled(path, format: str = "csv") -> LabeledSet:
 
     Arbitrary integer labels are remapped to 0..L-1 by sorted value.
     """
-    _check_format(format)
-    loader = _load_csv if format == "csv" else _load_binary
-    features, labels = loader(path)
+    features, labels = _load(path, format)
     if labels is None:
         raise DataError(f"{path}: no label column")
     _, remapped = np.unique(labels, return_inverse=True)

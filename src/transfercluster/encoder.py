@@ -13,7 +13,7 @@ gradients.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +55,14 @@ class LayerParams:
 class EncoderParams:
     """Trunk layers plus an optional bottleneck ``(A, b)``."""
 
-    layers: list[LayerParams] = field(default_factory=list)
-    bottleneck: tuple[np.ndarray, np.ndarray] | None = None
-    input_dim: int | None = None   # required when there are no layers
+    layers: list[LayerParams]
+    bottleneck: tuple[np.ndarray, np.ndarray] | None
+    input_dim: int
 
     def __post_init__(self):
         dim = self.input_dim
         for i, layer in enumerate(self.layers):
-            if dim is not None and layer.weights.shape[1] != dim:
+            if layer.weights.shape[1] != dim:
                 raise ParameterError(
                     f"layer {i} expects input dim {layer.weights.shape[1]}, got {dim}"
                 )
@@ -73,20 +73,20 @@ class EncoderParams:
             b = np.asarray(b, dtype=np.float64)
             if a.ndim != 2 or b.shape != (a.shape[0],):
                 raise ParameterError("bottleneck must be (A: (c, d), b: (c,))")
-            if dim is not None and a.shape[1] != dim:
+            if a.shape[1] != dim:
                 raise ParameterError(
                     f"bottleneck expects input dim {a.shape[1]}, trunk emits {dim}"
                 )
             self.bottleneck = (a, b)
 
     @property
-    def trunk_output_dim(self) -> int | None:
+    def trunk_output_dim(self) -> int:
         if self.layers:
             return self.layers[-1].weights.shape[0]
         return self.input_dim
 
     @property
-    def output_dim(self) -> int | None:
+    def output_dim(self) -> int:
         if self.bottleneck is not None:
             return self.bottleneck[0].shape[0]
         return self.trunk_output_dim
@@ -161,10 +161,9 @@ def forward(encoder: EncoderParams, batch):
     values = as_values(batch)
     if values.ndim != 2:
         raise ParameterError(f"batch must be 2-D, got shape {values.shape}")
-    expected = encoder.layers[0].weights.shape[1] if encoder.layers else encoder.input_dim
-    if expected is not None and values.shape[1] != expected:
+    if values.shape[1] != encoder.input_dim:
         raise ParameterError(
-            f"batch dim {values.shape[1]} does not match encoder input dim {expected}"
+            f"batch dim {values.shape[1]} does not match encoder input dim {encoder.input_dim}"
         )
     out, _, _ = _forward_trace(encoder, values)
     if isinstance(batch, FeatureMatrix):
@@ -245,7 +244,7 @@ def install_bottleneck(encoder: EncoderParams, pca: PcaModel) -> EncoderParams:
     if encoder.bottleneck is not None:
         raise ParameterError("bottleneck already installed")
     trunk_dim = encoder.trunk_output_dim
-    if trunk_dim is not None and pca.components.shape[1] != trunk_dim:
+    if pca.components.shape[1] != trunk_dim:
         raise ParameterError(
             f"PCA input dim {pca.components.shape[1]} does not match "
             f"trunk output dim {trunk_dim}"
@@ -381,12 +380,9 @@ def pretrain_encoder(labeled: LabeledSet, config: PretrainConfig | None = None,
 
 def save_encoder(path, encoder: EncoderParams) -> None:
     """Write a versioned binary checkpoint (magic ``DTCE``)."""
-    input_dim = encoder.layers[0].weights.shape[1] if encoder.layers else encoder.input_dim
-    if input_dim is None:
-        raise ParameterError("cannot checkpoint an encoder with unknown input dim")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sBIB", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION,
-                             input_dim, len(encoder.layers)))
+                             encoder.input_dim, len(encoder.layers)))
         for layer in encoder.layers:
             out_dim, in_dim = layer.weights.shape
             fh.write(struct.pack("<IIB", in_dim, out_dim,

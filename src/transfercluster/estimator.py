@@ -77,8 +77,7 @@ def parallel_map(fn, items, workers: int) -> list:
 
 def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
                          k_max: int, tau: float = 0.01, seed: int = 0,
-                         n_init: int = 10, max_iter: int = 300,
-                         threads: int | None = None) -> EstimationReport:
+                         threads: int = 1) -> EstimationReport:
     """Sweep candidate counts and return the pruned final estimate.
 
     Parameters
@@ -135,13 +134,12 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
 
     def run(k):
         result = constrained_kmeans(stacked, n_probe_classes + k, anchors,
-                                    seed=derive_seed(seed, "sweep", k),
-                                    n_init=n_init, max_iter=max_iter)
+                                    seed=derive_seed(seed, "sweep", k))
         acc, _ = clustering_accuracy(val_labels, result.assignment[val_rows])
         return acc, result
 
     candidates = range(k_max + 1)
-    outcomes = parallel_map(run, candidates, threads if threads is not None else 1)
+    outcomes = parallel_map(run, candidates, threads)
 
     unl_assigns = [result.assignment[unlabeled_slice] for _, result in outcomes]
     scored = [k for k in candidates if np.unique(unl_assigns[k]).size >= 2]

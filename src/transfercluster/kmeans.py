@@ -6,9 +6,10 @@ point farthest from its own center.  The anchored variant pins chosen
 rows to fixed clusters throughout; those rows never change cluster but
 still pull on their cluster's centroid.
 
-Each call runs ``n_init`` independent seedings and keeps the lowest
-final inertia (first winner on ties), all derived deterministically
-from the seed.
+Each call runs ``N_INIT`` independent seedings of at most ``MAX_ITER``
+Lloyd iterations, stopping once no center moves by ``TOL`` or more, and
+keeps the lowest final inertia (first winner on ties), all derived
+deterministically from the seed.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +19,10 @@ import numpy as np
 from . import distances
 from .errors import DataError, ParameterError
 from .seeding import rng_for
+
+N_INIT = 10      # k-means++ restarts per call
+MAX_ITER = 300   # Lloyd iterations per restart
+TOL = 1e-6       # largest center shift that counts as converged
 
 
 @dataclass
@@ -82,15 +87,14 @@ def _exact_inertia(x, centers, labels):
     return float(np.einsum("nc,nc->", diff, diff))
 
 
-def _plusplus_init(x, n_new, rng, existing=None):
+def _plusplus_init(x, x_sq, n_new, rng, existing):
     """k-means++ seeding over ``x``; existing centers join the D^2 pool."""
     n = x.shape[0]
     chosen = np.empty((n_new, x.shape[1]))
     if n_new == 0:
         return chosen
-    x_sq = np.einsum("nc,nc->n", x, x)
-    if existing is not None and len(existing):
-        d2 = distances.expanded(x, np.asarray(existing), x_sq).min(axis=1)
+    if len(existing):
+        d2 = distances.expanded(x, existing, x_sq).min(axis=1)
         start = 0
     else:
         first = int(rng.integers(n))
@@ -108,22 +112,16 @@ def _plusplus_init(x, n_new, rng, existing=None):
     return chosen
 
 
-def _lloyd(x, centers, anchor_rows, anchor_cluster, k, max_iter, tol):
+def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     n = x.shape[0]
-    anchored = anchor_rows.size > 0
-    free_mask = np.ones(n, dtype=bool)
-    free_mask[anchor_rows] = False
-    free_idx = np.nonzero(free_mask)[0]
-    x_sq = np.einsum("nc,nc->n", x, x)
     history = []
     labels = np.zeros(n, dtype=np.int64)
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         d2 = distances.expanded(x, centers, x_sq)
         labels = d2.argmin(axis=1)
-        if anchored:
-            labels[anchor_rows] = anchor_cluster
+        labels[anchor_rows] = anchor_cluster
         own = d2[np.arange(n), labels]
         history.append(float(own.sum()))
 
@@ -148,19 +146,17 @@ def _lloyd(x, centers, anchor_rows, anchor_cluster, k, max_iter, tol):
             counts[j] = 1
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < TOL:
             break
     # Final assignment consistent with the returned centers.
     labels = distances.expanded(x, centers, x_sq).argmin(axis=1)
-    if anchored:
-        labels[anchor_rows] = anchor_cluster
+    labels[anchor_rows] = anchor_cluster
     return KmeansResult(centers, labels, _exact_inertia(x, centers, labels),
                         iterations, history)
 
 
-def constrained_kmeans(data, k: int, constraints: AnchorConstraints, seed: int = 0,
-                       max_iter: int = 300, tol: float = 1e-6,
-                       n_init: int = 10) -> KmeansResult:
+def constrained_kmeans(data, k: int, constraints: AnchorConstraints,
+                       seed: int = 0) -> KmeansResult:
     """Lloyd's algorithm with anchor rows pinned to fixed clusters.
 
     Anchor clusters start at the mean of their anchor rows; free
@@ -181,41 +177,34 @@ def constrained_kmeans(data, k: int, constraints: AnchorConstraints, seed: int =
         raise ParameterError(
             f"k = {k} is below the {n_anchor_clusters} distinct anchor clusters"
         )
-    if max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")
-    if n_init < 1:
-        raise ParameterError("n_init must be at least 1")
 
     anchor_centers = np.empty((n_anchor_clusters, x.shape[1]))
     for c in range(n_anchor_clusters):
         anchor_centers[c] = x[constraints.anchor_rows[constraints.anchor_cluster == c]].mean(axis=0)
     free_mask = np.ones(n, dtype=bool)
     free_mask[constraints.anchor_rows] = False
+    free_idx = np.nonzero(free_mask)[0]
     free_x = x[free_mask]
     n_free_clusters = k - n_anchor_clusters
     if n_free_clusters > free_x.shape[0]:
         raise ParameterError(
             f"{n_free_clusters} free clusters but only {free_x.shape[0]} free rows"
         )
+    x_sq = np.einsum("nc,nc->n", x, x)
+    free_sq = np.einsum("nc,nc->n", free_x, free_x)
 
     best = None
-    for run in range(n_init):
+    for run in range(N_INIT):
         rng = rng_for(seed, "kmeans", run)
-        free_centers = _plusplus_init(
-            free_x, n_free_clusters, rng,
-            existing=anchor_centers if n_anchor_clusters else None,
-        )
-        centers = np.vstack([anchor_centers, free_centers]) if n_anchor_clusters else free_centers
-        result = _lloyd(x, centers, constraints.anchor_rows,
-                        constraints.anchor_cluster, k, max_iter, tol)
+        free_centers = _plusplus_init(free_x, free_sq, n_free_clusters, rng, anchor_centers)
+        result = _lloyd(x, x_sq, np.vstack([anchor_centers, free_centers]),
+                        constraints.anchor_rows, constraints.anchor_cluster, free_idx, k)
         if best is None or result.inertia < best.inertia:
             best = result
     return best
 
 
-def kmeans(data, k: int, seed: int = 0, max_iter: int = 300, tol: float = 1e-6,
-           n_init: int = 10) -> KmeansResult:
+def kmeans(data, k: int, seed: int = 0) -> KmeansResult:
     """Plain seeded k-means with k-means++ initialization."""
     empty = AnchorConstraints(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    return constrained_kmeans(data, k, empty, seed=seed, max_iter=max_iter,
-                              tol=tol, n_init=n_init)
+    return constrained_kmeans(data, k, empty, seed=seed)

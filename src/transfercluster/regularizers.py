@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureMatrix, as_values
+from .dataset import as_values
 from .errors import ParameterError
 from .seeding import rng_for
 
@@ -79,18 +79,13 @@ def ramp_weight(schedule: RampSchedule, t: int) -> float:
 def perturb(batch, magnitude: float, seed: int, step: int):
     """Add isotropic Gaussian noise of the given per-coordinate scale.
 
-    Deterministic given (seed, step); magnitude 0 returns the input
-    values bitwise unchanged.  Accepts a FeatureMatrix or an array and
-    returns the same kind.
+    Deterministic given (seed, step); magnitude 0 returns a bitwise copy
+    of the input.  Takes and returns an array.
     """
     if magnitude < 0:
         raise ParameterError(f"magnitude must be non-negative, got {magnitude}")
     values = as_values(batch)
     if magnitude == 0.0:
-        noisy = values.copy()
-    else:
-        rng = rng_for(seed, "perturb", int(step))
-        noisy = values + magnitude * rng.standard_normal(values.shape)
-    if isinstance(batch, FeatureMatrix):
-        return FeatureMatrix(noisy, batch.ids)
-    return noisy
+        return values.copy()
+    rng = rng_for(seed, "perturb", int(step))
+    return values + magnitude * rng.standard_normal(values.shape)

@@ -185,6 +185,8 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
     """
     x = as_values(unlabeled)
     n = x.shape[0]
+    if n < 1:
+        raise ParameterError("unlabelled data is empty")
     enc = encoder.copy()
     protos = protos.copy()
     ramp = config.ramp_schedule()

@@ -153,6 +153,18 @@ class TestCluster:
         assert lines[1].startswith("0,warmup,")
         assert lines[-1].startswith("4,main,")
 
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    def test_zero_ramp_is_usage_error(self, synth_dir, encoder_path, tmp_path, capsys,
+                                      command):
+        """``--ramp 0`` is rejected like any ramp below 1, not read as unset."""
+        extra = (["--k", 3] if command == "cluster" else
+                 ["--truth", synth_dir / "unlabeled_truth.csv", "--sweep", "k",
+                  "--values", "3"])
+        assert run(command, "--encoder", encoder_path,
+                   "--data", synth_dir / "unlabeled.csv", *extra, "--ramp", 0,
+                   "--warmup", 1, "--epochs", 1, "--out-dir", tmp_path / "x") == 1
+        assert "total_ramp_steps must be positive" in capsys.readouterr().err
+
 
 class TestEstimateK:
     def test_report_fields(self, synth_dir, encoder_path, tmp_path):

@@ -68,7 +68,7 @@ class TestEstimateClassCount:
         labeled, unlabeled, truth = synth_mixture(10, 4, 30, 16, 7.0, seed=13)
         split = split_probes(labeled, n_probe=5, anchor_ratio=0.8, seed=13)
         report = estimate_class_count(labeled, unlabeled, split, k_max=100,
-                                      seed=13, n_init=2, max_iter=50)
+                                      seed=13)
         assert len(report.sweep) == 101
         assert 0 <= report.k_hat <= 100
         assert report.k_final <= report.n_non_anchor

@@ -5,7 +5,7 @@ import pytest
 
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, ParameterError
-from transfercluster.kmeans import AnchorConstraints, constrained_kmeans, kmeans
+from transfercluster.kmeans import AnchorConstraints, _lloyd, constrained_kmeans, kmeans
 from transfercluster.metrics import clustering_accuracy
 
 NO_ANCHORS = AnchorConstraints(np.empty(0, dtype=int), np.empty(0, dtype=int))
@@ -124,6 +124,28 @@ class TestConstrainedKmeans:
         constraints = AnchorConstraints(np.arange(10), np.repeat([0, 1], 5))
         result = constrained_kmeans(x, 5, constraints, seed=4)
         assert (np.diff(np.array(result.inertia_history)) <= 1e-7).all()
+
+    def test_empty_cluster_repair_keeps_anchors(self):
+        """An empty free cluster is reseeded on a free row, never an anchor row.
+
+        Through ``constrained_kmeans`` the repair is reached only when the
+        free rows have too few distinct positions to fill every cluster,
+        so Lloyd starts here from a hand-made start with one free center
+        far from the data.  The anchor rows
+        sit farther from their centers than any free row, so a repair
+        that could pick them would park the cluster on an anchor row,
+        where it stays empty.
+        """
+        x = np.array([[0, 0], [0, 12], [8, 0], [8, 12],
+                      [4, 6], [4, 6], [4, 2], [4, 10]], dtype=float)
+        anchor_rows, anchor_cluster = np.arange(4), np.array([0, 0, 1, 1])
+        start = np.array([[0, 6], [8, 6], [4, 6], [4, 2], [40, 40]], dtype=float)
+        result = _lloyd(x, np.einsum("nc,nc->n", x, x), start, anchor_rows,
+                        anchor_cluster, np.arange(4, 8), 5)
+        np.testing.assert_array_equal(result.assignment[anchor_rows], anchor_cluster)
+        np.testing.assert_array_equal(np.bincount(result.assignment, minlength=5),
+                                      [2, 2, 2, 1, 1])
+        np.testing.assert_array_equal(result.centers[4], x[7])
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from transfercluster.dataset import FeatureMatrix
 from transfercluster.errors import ParameterError
 from transfercluster.regularizers import (
     EnsembleState,
@@ -114,12 +113,6 @@ class TestPerturb:
         out = perturb(x, 0.1, seed=11, step=0)
         spread = out.std(axis=0)
         assert ((spread >= 0.09) & (spread <= 0.11)).all()
-
-    def test_feature_matrix_round_trip(self):
-        fm = FeatureMatrix(np.ones((3, 2)), ("a", "b", "c"))
-        out = perturb(fm, 0.2, seed=0, step=0)
-        assert isinstance(out, FeatureMatrix)
-        assert out.ids == fm.ids
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ParameterError):

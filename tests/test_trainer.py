@@ -117,6 +117,12 @@ class TestTrain:
         main_hashes = [r.q_hash for r in trace.records if r.phase == "main"]
         assert main_hashes[0] != trace.records[0].q_hash or len(set(main_hashes)) > 1
 
+    def test_empty_unlabelled_set_rejected(self):
+        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        protos = Prototypes(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ParameterError, match="unlabelled data is empty"):
+            train(encoder, protos, np.empty((0, 2)), TrainConfig(k=2))
+
     def test_inputs_not_mutated(self):
         encoder, unlabeled, _ = small_problem(seed=8)
         config = TrainConfig(k=3, warmup_epochs=1, main_epochs=1, seed=8)
