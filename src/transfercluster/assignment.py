@@ -2,7 +2,9 @@
 
 Assignments follow a Student's-t kernel around learnable prototypes:
 
-    p(k|i) proportional to (1 + ||z_i - mu_k||^2 / alpha) ** -((alpha+1)/2)
+    p(k|i) proportional to 1 / (1 + ||z_i - mu_k||^2)
+
+with one degree of freedom (alpha = 1), as in DEC.
 
 Training matches p against a sharpened, frequency-balanced target q by
 minimising the row-averaged KL divergence, optionally plus a consistency
@@ -29,10 +31,9 @@ from .errors import DegenerateClusterError, NumericalError, ParameterError
 
 @dataclass
 class Prototypes:
-    """K cluster centers in embedding space plus the kernel's alpha."""
+    """K cluster centers in embedding space."""
 
     centers: np.ndarray
-    alpha: float = 1.0
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -40,15 +41,13 @@ class Prototypes:
             raise ParameterError(f"centers must be (K, c), got {self.centers.shape}")
         if not np.isfinite(self.centers).all():
             raise ParameterError("centers must be finite")
-        if self.alpha <= 0:
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
 
     @property
     def n_clusters(self) -> int:
         return self.centers.shape[0]
 
     def copy(self) -> "Prototypes":
-        return Prototypes(self.centers.copy(), self.alpha)
+        return Prototypes(self.centers.copy())
 
 
 def _check_embeddings(embeddings, protos: Prototypes) -> np.ndarray:
@@ -61,33 +60,24 @@ def _check_embeddings(embeddings, protos: Prototypes) -> np.ndarray:
     return z
 
 
-def _kernel(sq: np.ndarray, alpha: float) -> np.ndarray:
+def _kernel(sq: np.ndarray) -> np.ndarray:
     """Row-normalised Student's-t weights of the squared distances ``sq``.
 
-    A row whose weights all underflow to 0 (a large alpha, or a point far
-    from every center) is recomputed in log space relative to its largest
-    weight; every other row is left as computed.
+    For a finite ``sq`` every weight is at least 1/DBL_MAX > 0, so no row
+    sums to zero.
     """
-    power = -(alpha + 1.0) / 2.0
-    weights = (1.0 + sq / alpha) ** power
-    total = weights.sum(axis=1, keepdims=True)
-    if not total.all():
-        under = total[:, 0] == 0.0
-        logw = power * np.log1p(sq[under] / alpha)
-        rescaled = np.exp(logw - logw.max(axis=1, keepdims=True))
-        weights[under] = rescaled
-        total[under] = rescaled.sum(axis=1, keepdims=True)
-    return weights / total
+    weights = 1.0 / (1.0 + sq)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def soft_assign(embeddings, protos: Prototypes) -> np.ndarray:
     """Row-stochastic (N, K) matrix of Student's-t assignment probabilities.
 
-    Every row sums to one for finite squared distances, including rows
-    whose kernel weights underflow.
+    Every row sums to one and every entry is positive for finite squared
+    distances.
     """
     z = _check_embeddings(embeddings, protos)
-    return _kernel(distances.exact(z, protos.centers), protos.alpha)
+    return _kernel(distances.exact(z, protos.centers))
 
 
 def target_distribution(p: np.ndarray) -> np.ndarray:
@@ -137,14 +127,13 @@ def _assign_dlogw(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
     return p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True))
 
 
-def _vjp(diff: np.ndarray, sq: np.ndarray, alpha: float, dlogw: np.ndarray):
+def _vjp(diff: np.ndarray, sq: np.ndarray, dlogw: np.ndarray):
     """Chain ``dlogw`` back to the embeddings (N, c) and the centers (K, c).
 
     ``diff`` and ``sq`` are the kernel's difference tensor and squared
-    distances.  log w = -(alpha+1)/2 * log(1 + sq/alpha), so
-    d sq = dlogw * -(alpha+1) / (2 (alpha + sq)).
+    distances.  log w = -log(1 + sq), so d sq = dlogw * -1 / (1 + sq).
     """
-    dsq = dlogw * (-(alpha + 1.0) / (2.0 * (alpha + sq)))
+    dsq = dlogw * (-1.0 / (1.0 + sq))
     grad_z = 2.0 * np.einsum("nk,nkc->nc", dsq, diff)
     grad_centers = -2.0 * np.einsum("nk,nkc->kc", dsq, diff)
     return grad_z, grad_centers
@@ -163,7 +152,7 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
             f"q shape {q.shape} does not match ({z.shape[0]}, {protos.n_clusters})"
         )
     sq, diff = distances.exact_with_differences(z, protos.centers)
-    return _vjp(diff, sq, protos.alpha, _kl_dlogw(q, _kernel(sq, protos.alpha)))
+    return _vjp(diff, sq, _kl_dlogw(q, _kernel(sq)))
 
 
 def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
@@ -180,7 +169,7 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
             f"({z.shape[0]}, {protos.n_clusters})"
         )
     sq, diff = distances.exact_with_differences(z, protos.centers)
-    return _vjp(diff, sq, protos.alpha, _assign_dlogw(_kernel(sq, protos.alpha), grad_p))
+    return _vjp(diff, sq, _assign_dlogw(_kernel(sq), grad_p))
 
 
 def consistency_loss(p: np.ndarray, p_prime: np.ndarray):

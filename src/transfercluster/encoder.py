@@ -1,9 +1,9 @@
 """The embedding network: a small dense trunk plus a linear bottleneck.
 
-The trunk is a stack of fully connected layers with elementwise
-activations; the bottleneck is an affine map installed from a PCA fit
-and fine-tuned afterwards like any other layer.  Forward and backward
-passes are plain numpy; backward returns exact analytic gradients.
+The trunk is a stack of fully connected tanh layers; the bottleneck is
+an affine map installed from a PCA fit and fine-tuned afterwards like
+any other layer.  Forward and backward passes are plain numpy; backward
+returns exact analytic gradients.
 
 ``_forward_trace`` keeps each layer's input and the trunk output, and
 ``_backward`` consumes such a trace, so a training step runs the
@@ -23,13 +23,7 @@ from .seeding import rng_for
 
 _CHECKPOINT_MAGIC = b"DTCE"
 _CHECKPOINT_VERSION = 1
-
-_ACTIVATIONS = {
-    "linear": (lambda x: x, lambda y: np.ones_like(y)),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-}
-_ACTIVATION_TAGS = {"linear": 0, "tanh": 1}
-_TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
+_TANH_TAG = 1   # per-layer activation byte; tanh is the only one
 
 MOMENTUM = 0.9   # SGD momentum of pretraining and clustering, as in DEC
 
@@ -38,15 +32,12 @@ MOMENTUM = 0.9   # SGD momentum of pretraining and clustering, as in DEC
 class LayerParams:
     weights: np.ndarray   # (out, in)
     bias: np.ndarray      # (out,)
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ParameterError("layer weights must be (out, in) with matching bias")
-        if self.activation not in _ACTIVATIONS:
-            raise ParameterError(f"unknown activation '{self.activation}'")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ParameterError("layer parameters must be finite")
 
@@ -92,8 +83,7 @@ class EncoderParams:
         return self.trunk_output_dim
 
     def copy(self) -> "EncoderParams":
-        layers = [LayerParams(l.weights.copy(), l.bias.copy(), l.activation)
-                  for l in self.layers]
+        layers = [LayerParams(l.weights.copy(), l.bias.copy()) for l in self.layers]
         bn = None
         if self.bottleneck is not None:
             bn = (self.bottleneck[0].copy(), self.bottleneck[1].copy())
@@ -143,8 +133,7 @@ def _forward_trace(encoder: EncoderParams, x: np.ndarray):
     h = x
     for layer in encoder.layers:
         inputs.append(h)
-        act, _ = _ACTIVATIONS[layer.activation]
-        h = act(h @ layer.weights.T + layer.bias)
+        h = np.tanh(h @ layer.weights.T + layer.bias)
     trunk_out = h
     if encoder.bottleneck is not None:
         a, b = encoder.bottleneck
@@ -202,8 +191,7 @@ def _backward(encoder: EncoderParams, trace, upstream: np.ndarray):
     outputs = inputs[1:] + [trunk_out]
     for layer, layer_in, layer_out in zip(reversed(encoder.layers),
                                           reversed(inputs), reversed(outputs)):
-        _, dact = _ACTIVATIONS[layer.activation]
-        pre_grad = grad * dact(layer_out)
+        pre_grad = grad * (1.0 - layer_out * layer_out)
         layer_grads.append((pre_grad.T @ layer_in, pre_grad.sum(axis=0)))
         grad = pre_grad @ layer.weights
     layer_grads.reverse()
@@ -385,8 +373,7 @@ def save_encoder(path, encoder: EncoderParams) -> None:
                              encoder.input_dim, len(encoder.layers)))
         for layer in encoder.layers:
             out_dim, in_dim = layer.weights.shape
-            fh.write(struct.pack("<IIB", in_dim, out_dim,
-                                 _ACTIVATION_TAGS[layer.activation]))
+            fh.write(struct.pack("<IIB", in_dim, out_dim, _TANH_TAG))
         has_bn = encoder.bottleneck is not None
         fh.write(struct.pack("<B", 1 if has_bn else 0))
         if has_bn:
@@ -427,9 +414,9 @@ def _decode_checkpoint(blob: bytes, path) -> EncoderParams:
     for _ in range(n_layers):
         in_dim, out_dim, tag = struct.unpack_from("<IIB", blob, offset)
         offset += struct.calcsize("<IIB")
-        if tag not in _TAG_ACTIVATIONS:
+        if tag != _TANH_TAG:
             raise DataError(f"{path}: unknown activation tag {tag}")
-        shapes.append((in_dim, out_dim, _TAG_ACTIVATIONS[tag]))
+        shapes.append((in_dim, out_dim))
     (has_bn,) = struct.unpack_from("<B", blob, offset)
     offset += 1
     bn_shape = None
@@ -447,10 +434,9 @@ def _decode_checkpoint(blob: bytes, path) -> EncoderParams:
         return arr.astype(np.float64)
 
     layers = []
-    for in_dim, out_dim, act in shapes:
+    for in_dim, out_dim in shapes:
         w = take(in_dim * out_dim).reshape(out_dim, in_dim)
-        b = take(out_dim)
-        layers.append(LayerParams(w, b, act))
+        layers.append(LayerParams(w, take(out_dim)))
     bottleneck = None
     if has_bn:
         d, c = bn_shape

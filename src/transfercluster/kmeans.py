@@ -88,7 +88,11 @@ def _exact_inertia(x, centers, labels):
 
 
 def _plusplus_init(x, x_sq, n_new, rng, existing):
-    """k-means++ seeding over ``x``; existing centers join the D^2 pool."""
+    """k-means++ seeding over ``x``; existing centers join the D^2 pool.
+
+    Raises once every row sits on a chosen or existing center, since a
+    further seed would duplicate a center and leave a cluster empty.
+    """
     n = x.shape[0]
     chosen = np.empty((n_new, x.shape[1]))
     if n_new == 0:
@@ -103,10 +107,12 @@ def _plusplus_init(x, x_sq, n_new, rng, existing):
         start = 1
     for j in range(start, n_new):
         total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
+        if total == 0:
+            raise ParameterError(
+                f"{n_new} free clusters but only {j} distinct free positions "
+                "off the anchor centers"
+            )
+        idx = int(rng.choice(n, p=d2 / total))
         chosen[j] = x[idx]
         d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1], x_sq)[:, 0])
     return chosen

@@ -67,6 +67,8 @@ def read_manifest(path) -> dict:
             record["outputs"][key[7:]] = value
     if "command" not in record:
         raise DataError(f"{path}: missing command")
-    argv = [record["argv"][i] for i in sorted(record["argv"])]
-    record["argv"] = argv
+    argv = record["argv"]
+    if not argv or sorted(argv) != list(range(len(argv))):
+        raise DataError(f"{path}: argv lines must be numbered 0..n-1")
+    record["argv"] = [argv[i] for i in range(len(argv))]
     return record

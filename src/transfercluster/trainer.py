@@ -220,19 +220,19 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             xb = x[rows]
             trace = _forward_trace(enc, xb)
             sq, diff = distances.exact_with_differences(trace[0], protos.centers)
-            p = _kernel(sq, protos.alpha)
+            p = _kernel(sq)
             dlogw = _kl_dlogw(q[rows], p)
             if config.variant in ("pi", "te"):
                 if config.variant == "pi":
                     xb_prime = perturb(xb, config.perturb_sigma, perturb_seed, global_step)
                     z_prime = _forward_trace(enc, xb_prime)[0]
-                    p_prime = _kernel(distances.exact(z_prime, protos.centers), protos.alpha)
+                    p_prime = _kernel(distances.exact(z_prime, protos.centers))
                 else:
                     p_prime = ensemble[rows]
                 closs, grad_p = consistency_loss(p, p_prime)
                 dlogw = dlogw + _assign_dlogw(p, omega * grad_p)
                 cons_total += closs
-            grad_z, grad_centers = _vjp(diff, sq, protos.alpha, dlogw)
+            grad_z, grad_centers = _vjp(diff, sq, dlogw)
             enc_grads, _ = _backward(enc, trace, grad_z)
             opt.step([grad_centers, *enc_grads.arrays()])
             global_step += 1

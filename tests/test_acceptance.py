@@ -76,7 +76,7 @@ def test_criterion_1_gradient_fidelity():
         n, k, d, c, hidden = 20, 3, 8, 3, 10
         enc = EncoderParams(
             [LayerParams(rng.normal(scale=0.4, size=(hidden, d)),
-                         rng.normal(scale=0.1, size=hidden), "tanh")],
+                         rng.normal(scale=0.1, size=hidden))],
             (rng.normal(scale=0.4, size=(c, hidden)), rng.normal(scale=0.1, size=c)),
             d,
         )

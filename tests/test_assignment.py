@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transfercluster import distances
 from transfercluster.assignment import (
@@ -20,15 +22,16 @@ from transfercluster.assignment import (
 from transfercluster.errors import DegenerateClusterError, NumericalError, ParameterError
 
 
-def direct_soft_assign(z, centers, alpha):
-    """Entrywise kernel evaluation: the reference the fast path must match."""
+def direct_soft_assign(z, centers):
+    """Entrywise kernel evaluation at alpha = 1: the reference the fast
+    path must match."""
     n, k = z.shape[0], centers.shape[0]
     p = np.zeros((n, k))
     for i in range(n):
         weights = []
         for j in range(k):
             sq = float(((z[i] - centers[j]) ** 2).sum())
-            weights.append((1.0 + sq / alpha) ** (-(alpha + 1.0) / 2.0))
+            weights.append((1.0 + sq) ** -1.0)
         total = sum(weights)
         for j in range(k):
             p[i, j] = weights[j] / total
@@ -38,7 +41,7 @@ def direct_soft_assign(z, centers, alpha):
 class TestSoftAssign:
     def test_point_on_first_center(self):
         """alpha=1, z at mu1 and squared distance 3 to mu2 gives (0.8, 0.2)."""
-        protos = Prototypes(np.array([[0.0, 0.0], [np.sqrt(3.0), 0.0]]), alpha=1.0)
+        protos = Prototypes(np.array([[0.0, 0.0], [np.sqrt(3.0), 0.0]]))
         p = soft_assign(np.zeros((1, 2)), protos)
         np.testing.assert_allclose(p, [[0.8, 0.2]], atol=1e-12)
 
@@ -51,12 +54,10 @@ class TestSoftAssign:
         rng = np.random.default_rng(7)
         z = rng.normal(size=(5, 2))
         centers = rng.normal(size=(3, 2))
-        for alpha in (1.0, 2.5):
-            protos = Prototypes(centers, alpha)
-            np.testing.assert_allclose(
-                soft_assign(z, protos), direct_soft_assign(z, centers, alpha),
-                atol=1e-12,
-            )
+        np.testing.assert_allclose(
+            soft_assign(z, Prototypes(centers)), direct_soft_assign(z, centers),
+            atol=1e-12,
+        )
 
     def test_rows_stochastic_and_positive(self):
         rng = np.random.default_rng(11)
@@ -71,11 +72,10 @@ class TestSoftAssign:
         with pytest.raises(ParameterError):
             soft_assign(np.zeros((2, 3)), Prototypes(np.zeros((2, 2))))
 
-    def test_underflowing_row_stays_stochastic(self):
-        """At alpha = 100 a point 1e5 from every center has weights that all
-        underflow to 0; its row is recomputed in log space, and the other
-        rows keep the bits they have in a batch of their own."""
-        protos = Prototypes(np.array([[0.0, 0.0], [1.0, 0.0]]), alpha=100.0)
+    def test_far_row_stays_stochastic(self):
+        """A point 1e5 from every center keeps a stochastic row, and the
+        other rows keep the bits they have in a batch of their own."""
+        protos = Prototypes(np.array([[0.0, 0.0], [1.0, 0.0]]))
         near = np.array([[0.2, 0.1], [0.9, -0.3]])
         z = np.vstack([near, [[1e5, 0.0]]])
         p = soft_assign(z, protos)
@@ -84,6 +84,26 @@ class TestSoftAssign:
         assert p[2].argmax() == 1
         np.testing.assert_array_equal(p[:2], soft_assign(near, protos))
         assert np.isfinite(kl_loss(target_distribution(p), p))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_kernel_is_positive_and_stochastic_for_finite_distances(data):
+    """With |coordinates| <= 1e150 every squared distance is finite, so every
+    weight is positive: no row needs a fallback, and the KL stays finite."""
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(1, 5), label="k")
+    c = data.draw(st.integers(1, 4), label="c")
+    coord = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+    def matrix(rows, label):
+        values = data.draw(st.lists(coord, min_size=rows * c, max_size=rows * c), label=label)
+        return np.array(values).reshape(rows, c)
+
+    p = soft_assign(matrix(n, "embeddings"), Prototypes(matrix(k, "centers")))
+    assert (p > 0).all()
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.isfinite(kl_loss(target_distribution(p), p))
 
 
 class TestTargetDistribution:
@@ -268,20 +288,18 @@ class TestGradients:
         the KL gradient alone when the consistency term is zero."""
         rng = np.random.default_rng(52)
         z = rng.normal(size=(7, 3))
-        protos = Prototypes(rng.normal(size=(4, 3)), alpha=1.5)
+        protos = Prototypes(rng.normal(size=(4, 3)))
         q = rng.dirichlet(np.ones(4), size=7)
         grad_p = rng.normal(size=(7, 4))
         sq, diff = distances.exact_with_differences(z, protos.centers)
-        p = _kernel(sq, protos.alpha)
+        p = _kernel(sq)
 
-        fused_z, fused_c = _vjp(diff, sq, protos.alpha,
-                                _kl_dlogw(q, p) + _assign_dlogw(p, grad_p))
+        fused_z, fused_c = _vjp(diff, sq, _kl_dlogw(q, p) + _assign_dlogw(p, grad_p))
         kl_z, kl_c = kl_loss_gradients(z, protos, q)
         cons_z, cons_c = soft_assign_grads(z, protos, grad_p)
         assert rel_error(fused_z, kl_z + cons_z) <= 1e-12
         assert rel_error(fused_c, kl_c + cons_c) <= 1e-12
 
-        zero_z, zero_c = _vjp(diff, sq, protos.alpha,
-                              _kl_dlogw(q, p) + _assign_dlogw(p, np.zeros_like(p)))
+        zero_z, zero_c = _vjp(diff, sq, _kl_dlogw(q, p) + _assign_dlogw(p, np.zeros_like(p)))
         np.testing.assert_array_equal(zero_z, kl_z)
         np.testing.assert_array_equal(zero_c, kl_c)

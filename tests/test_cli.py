@@ -292,8 +292,10 @@ class TestManifests:
         assert "input 'data'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", [b"argv.x=eval", b"\xff=1",
-                                       b"argv.0=rerun\nargv.1=MANIFEST"],
-                             ids=["bad-argv-index", "not-utf8", "replays-rerun"])
+                                       b"argv.0=rerun\nargv.1=MANIFEST",
+                                       b"config.seed=0", b"argv.0=eval\nargv.2=--k"],
+                             ids=["bad-argv-index", "not-utf8", "replays-rerun",
+                                  "no-argv", "argv-gap"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, lines):
         manifest = tmp_path / "bad.manifest"
         lines = lines.replace(b"MANIFEST", str(manifest).encode())
@@ -324,7 +326,8 @@ class TestErrorPaths:
         assert run("cluster", "--encoder", encoder_path, "--data", bad,
                    "--k", 2, "--out-dir", tmp_path / "x") == 2
 
-    @pytest.mark.parametrize("case", ["dtce-header-only", "csv-not-utf8",
+    @pytest.mark.parametrize("case", ["dtce-header-only", "dtce-tag-0", "dtce-tag-7",
+                                      "csv-not-utf8",
                                       "truth-not-utf8", "dtcf-no-columns",
                                       "truth-repeated-id", "assignments-repeated-id"])
     def test_malformed_file_is_data_error(self, synth_dir, encoder_path, tmp_path,
@@ -338,6 +341,13 @@ class TestErrorPaths:
         if case == "dtce-header-only":
             bad.write_bytes(encoder_path.read_bytes()[:10])
             files["--encoder"] = bad
+        elif case.startswith("dtce-tag-"):
+            blob = bytearray(encoder_path.read_bytes())
+            assert blob[18] == 1   # the first layer's activation byte
+            blob[18] = int(case[-1])
+            bad.write_bytes(bytes(blob))
+            files["--encoder"] = bad
+            error = f"error: {bad}: unknown activation tag {case[-1]}"
         elif case == "csv-not-utf8":
             bad.write_bytes(b"id,f0\n\xff,1.0\n")
             files["--data"] = bad

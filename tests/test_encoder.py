@@ -22,10 +22,14 @@ from transfercluster.encoder import (
 )
 from transfercluster.errors import DataError, ParameterError
 
+# Checkpoint offset of the first layer's activation byte: the "<4sBIB"
+# header, then that layer's in and out dims.
+TAG_OFFSET = 18
 
-def random_encoder(rng, d_in=4, hidden=5, c=3, activation="tanh"):
+
+def random_encoder(rng, d_in=4, hidden=5, c=3):
     layers = [LayerParams(rng.normal(scale=0.5, size=(hidden, d_in)),
-                          rng.normal(scale=0.1, size=hidden), activation)]
+                          rng.normal(scale=0.1, size=hidden))]
     bottleneck = (rng.normal(scale=0.5, size=(c, hidden)), rng.normal(scale=0.1, size=c))
     return EncoderParams(layers, bottleneck, d_in)
 
@@ -83,7 +87,8 @@ class TestForward:
 
     def test_affine_property_of_linear_encoder(self):
         rng = np.random.default_rng(1)
-        enc = random_encoder(rng, activation="linear")
+        enc = EncoderParams([], (rng.normal(scale=0.5, size=(3, 4)),
+                                 rng.normal(scale=0.1, size=3)), 4)
         x = rng.normal(size=(6, 4))
         alpha = 2.75
         lhs = forward(enc, alpha * x)
@@ -124,7 +129,7 @@ class TestBackward:
         np.testing.assert_array_equal(kept_input, input_grad)
 
     def test_linear_encoder_matches_least_squares_gradient(self):
-        """Quadratic loss through a purely linear map has a closed form.
+        """Quadratic loss through a purely affine map has a closed form.
 
         With y = x W^T + b and L = ||y - t||^2 / (2n), the gradients are
         dW = (y - t)^T x / n and db = mean(y - t).
@@ -132,14 +137,14 @@ class TestBackward:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        enc = EncoderParams([LayerParams(w, b, "linear")], None, 4)
+        enc = EncoderParams([], (w, b), 4)
         x = rng.normal(size=(10, 4))
         t = rng.normal(size=(10, 3))
         y = x @ w.T + b
         upstream = (y - t) / 10.0
         grads, _ = backward(enc, x, upstream)
-        np.testing.assert_allclose(grads.layers[0][0], (y - t).T @ x / 10.0, atol=1e-8)
-        np.testing.assert_allclose(grads.layers[0][1], (y - t).mean(axis=0), atol=1e-8)
+        np.testing.assert_allclose(grads.bottleneck[0], (y - t).T @ x / 10.0, atol=1e-8)
+        np.testing.assert_allclose(grads.bottleneck[1], (y - t).mean(axis=0), atol=1e-8)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -249,7 +254,7 @@ class TestInstallBottleneck:
     def test_forward_equals_pca_projection(self):
         rng = np.random.default_rng(14)
         trunk = EncoderParams(
-            [LayerParams(rng.normal(size=(6, 4)), rng.normal(size=6), "tanh")], None, 4
+            [LayerParams(rng.normal(size=(6, 4)), rng.normal(size=6))], None, 4
         )
         x = rng.normal(size=(20, 4))
         pca = fit_pca(forward(trunk, x), 3)
@@ -267,7 +272,7 @@ class TestInstallBottleneck:
     def test_trunk_preserved_bitwise(self):
         rng = np.random.default_rng(16)
         trunk = EncoderParams(
-            [LayerParams(rng.normal(size=(10, 7)), rng.normal(size=10), "tanh")], None, 7
+            [LayerParams(rng.normal(size=(10, 7)), rng.normal(size=10))], None, 7
         )
         pca = fit_pca(rng.normal(size=(30, 10)), 3)
         ready = install_bottleneck(trunk, pca)
@@ -340,18 +345,29 @@ class TestCheckpoint:
         assert back.input_dim == 4
         np.testing.assert_array_equal(back.layers[0].weights, enc.layers[0].weights)
         np.testing.assert_array_equal(back.bottleneck[0], enc.bottleneck[0])
-        assert back.layers[0].activation == "tanh"
+        assert path.read_bytes()[TAG_OFFSET] == 1   # the tanh activation byte
 
     def test_round_trip_without_bottleneck(self, tmp_path):
         rng = np.random.default_rng(24)
         enc = EncoderParams(
-            [LayerParams(rng.normal(size=(5, 2)), rng.normal(size=5), "linear")], None, 2
+            [LayerParams(rng.normal(size=(5, 2)), rng.normal(size=5))], None, 2
         )
         path = tmp_path / "enc.dtce"
         save_encoder(path, enc)
         back = load_encoder(path)
         assert back.bottleneck is None
         np.testing.assert_array_equal(back.layers[0].bias, enc.layers[0].bias)
+
+    @pytest.mark.parametrize("tag", [0, 7])
+    def test_activation_tag_other_than_tanh_is_data_error(self, tmp_path, tag):
+        """Byte 0 was the retired linear activation; only tanh (1) loads."""
+        path = tmp_path / "enc.dtce"
+        save_encoder(path, random_encoder(np.random.default_rng(25)))
+        blob = bytearray(path.read_bytes())
+        blob[TAG_OFFSET] = tag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"unknown activation tag {tag}"):
+            load_encoder(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "enc.dtce"

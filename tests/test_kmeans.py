@@ -58,6 +58,13 @@ class TestKmeans:
         with pytest.raises(ParameterError):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
+    def test_k_above_distinct_rows_rejected(self):
+        """Two distinct positions cannot seed three clusters without
+        leaving one empty."""
+        x = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3)
+        with pytest.raises(ParameterError, match="only 2 distinct"):
+            kmeans(x, 3, seed=0)
+
     def test_every_cluster_used_when_k_near_n(self):
         """Empty-cluster repair keeps all k clusters populated."""
         rng = np.random.default_rng(4)
