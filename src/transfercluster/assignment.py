@@ -143,7 +143,9 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
     """Analytic gradients of :func:`kl_loss` through :func:`soft_assign`.
 
     Targets q are treated as constants.  Returns gradients w.r.t. the
-    embeddings (N, c) and the prototype centers (K, c).
+    embeddings (N, c) and the prototype centers (K, c).  Unlike
+    :func:`soft_assign`, this builds the whole (N, K, c) difference
+    tensor, so it is meant for batch-sized inputs.
     """
     z = _check_embeddings(embeddings, protos)
     q = np.asarray(q, dtype=np.float64)
@@ -160,6 +162,8 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
 
     Given dLoss/dp, returns (dLoss/dembeddings, dLoss/dcenters).  Used to
     chain arbitrary losses on the assignment matrix, e.g. consistency.
+    Like :func:`kl_loss_gradients`, it builds the whole (N, K, c)
+    difference tensor.
     """
     z = _check_embeddings(embeddings, protos)
     grad_p = np.asarray(grad_p, dtype=np.float64)

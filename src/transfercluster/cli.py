@@ -296,8 +296,11 @@ def cmd_rerun(ns, argv):
             raise DataError(f"{ns.manifest}: input '{name}' ({path}) does not match "
                             "the digest recorded when the manifest was written")
     code = main(record["argv"])
-    if code != 0:
+    if code == 3:
         raise NumericalError(f"replayed command exited with {code}")
+    if code != 0:
+        raise DataError(f"{ns.manifest}: replayed command '{record['command']}' "
+                        f"exited with {code}")
 
 
 def _add_common(sub, *, fmt=True):

@@ -71,4 +71,7 @@ def read_manifest(path) -> dict:
     if not argv or sorted(argv) != list(range(len(argv))):
         raise DataError(f"{path}: argv lines must be numbered 0..n-1")
     record["argv"] = [argv[i] for i in range(len(argv))]
+    if record["argv"][0] != record["command"]:
+        raise DataError(f"{path}: command '{record['command']}' does not match "
+                        f"argv.0 '{record['argv'][0]}'")
     return record

@@ -14,8 +14,6 @@ from scipy.optimize import linear_sum_assignment
 from . import distances
 from .errors import ParameterError
 
-_BLOCK_ELEMENTS = 1 << 22   # float64 elements in one silhouette working block
-
 
 @dataclass
 class EvalReport:
@@ -120,18 +118,20 @@ def silhouettes(x, labellings) -> list[float]:
     explicit coordinate differences (numerically exact, unlike the
     expanded dot-product form), and shared by all labellings: the block
     times a labelling's one-hot membership gives each chunk row's summed
-    distance to every cluster.  One-hot memberships are held for as many
-    labellings at a time as fit in the block budget; further labellings
-    take another pass.  Inputs are not validated: ``x`` is a float
-    (N, c) array and every labelling has one label per row and at least
-    2 clusters, as :func:`silhouette` checks.
+    distance to every cluster.  Chunks are sized to
+    :data:`distances.BLOCK_ELEMENTS`, and one-hot memberships are held
+    for as many labellings at a time as fit in that budget; further
+    labellings take another pass.  Inputs are not validated: ``x`` is a
+    float (N, c) array and every labelling has one label per row and at
+    least 2 clusters, as :func:`silhouette` checks.
     """
     n = x.shape[0]
     coded = [np.unique(labels, return_inverse=True)[1] for labels in labellings]
     counts = [np.bincount(idx) for idx in coded]
     scores = np.zeros((len(coded), n))
-    chunk = max(1, _BLOCK_ELEMENTS // max(1, n * x.shape[1]))
-    for group in _membership_groups([c.size for c in counts], _BLOCK_ELEMENTS // n):
+    budget = distances.BLOCK_ELEMENTS
+    chunk = max(1, budget // max(1, n * x.shape[1]))
+    for group in _membership_groups([c.size for c in counts], budget // n):
         memberships = [np.eye(counts[i].size)[coded[i]] for i in group]
         for start in range(0, n, chunk):
             rows = slice(start, start + chunk)

@@ -1,5 +1,7 @@
 """Tests for soft assignments, targets, and the clustering objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,21 @@ class TestSoftAssign:
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             soft_assign(np.zeros((2, 3)), Prototypes(np.zeros((2, 2))))
+
+    def test_full_set_pass_holds_one_difference_block(self):
+        """The (N, K, c) differences are never held whole: the peak is one
+        block plus a few (N, K) arrays (the whole tensor here is 73 MiB)."""
+        n, k = 6000, 40
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(n, k))
+        protos = Prototypes(rng.normal(size=(k, k)))
+        tracemalloc.start()
+        try:
+            soft_assign(z, protos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= distances.BLOCK_ELEMENTS * 8 + 4 * n * k * 8
 
     def test_far_row_stays_stochastic(self):
         """A point 1e5 from every center keeps a stochastic row, and the

@@ -291,15 +291,20 @@ class TestManifests:
         assert run("rerun", out / "cluster.manifest") == 2
         assert "input 'data'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lines", [b"argv.x=eval", b"\xff=1",
-                                       b"argv.0=rerun\nargv.1=MANIFEST",
-                                       b"config.seed=0", b"argv.0=eval\nargv.2=--k"],
+    @pytest.mark.parametrize("lines", [b"command=eval\nargv.x=eval", b"command=eval\n\xff=1",
+                                       b"command=rerun\nargv.0=rerun\nargv.1=MANIFEST",
+                                       b"command=eval\nconfig.seed=0",
+                                       b"command=eval\nargv.0=eval\nargv.2=--k",
+                                       b"command=eval\nargv.0=eval",
+                                       b"command=eval\nargv.0=synth\nargv.1=--out-dir\n"
+                                       b"argv.2=OUT"],
                              ids=["bad-argv-index", "not-utf8", "replays-rerun",
-                                  "no-argv", "argv-gap"])
+                                  "no-argv", "argv-gap", "replayed-usage-error",
+                                  "command-argv-mismatch"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, lines):
         manifest = tmp_path / "bad.manifest"
         lines = lines.replace(b"MANIFEST", str(manifest).encode())
-        manifest.write_bytes(b"command=eval\n" + lines + b"\n")
+        manifest.write_bytes(lines.replace(b"OUT", str(tmp_path / "out").encode()) + b"\n")
         assert run("rerun", manifest) == 2
         assert f"error: {manifest}" in capsys.readouterr().err
 

@@ -1,0 +1,20 @@
+"""Tests for the squared-distance forms and the row blocks of the exact one."""
+
+import numpy as np
+import pytest
+
+from transfercluster import distances
+
+
+@pytest.mark.parametrize("budget", [1 << 22, 4000, 500, 77, 1],
+                         ids=["one-block", "two-blocks-and-a-row", "many-blocks",
+                              "one-row-exactly", "one-row-below"])
+def test_exact_is_bitwise_independent_of_the_block_budget(monkeypatch, budget):
+    """103 rows against 11 centers in 7 columns (77 differences a row)."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(scale=5.0, size=(103, 7))
+    b = rng.normal(size=(11, 7))
+    whole = distances.exact_with_differences(a, b)[0]
+    monkeypatch.setattr(distances, "BLOCK_ELEMENTS", budget)
+    assert np.array_equal(distances.exact(a, b), whole)
+
