@@ -15,10 +15,10 @@ Every gradient goes through one vector-Jacobian product, ``_vjp``.  A
 loss enters it as its gradient with respect to the log of the
 unnormalised weights, ``dlogw``: the KL term gives ``-(q - p)/n`` and an
 upstream gradient g on p gives ``p * (g - (g*p).sum(1))``.  A training
-step adds both terms and chains once.  The chain needs the (N, K, c)
-difference tensor that the squared distances are summed from, so a step
-builds that tensor once and shares it between ``_kernel`` (the weights
-of the distances) and ``_vjp``.
+step adds both terms and chains once.  The chain needs only the squared
+distances, the embeddings and the centers, not the (N, K, c) difference
+tensor, so the public gradient functions run in bounded memory like
+:func:`soft_assign`.
 """
 
 from dataclasses import dataclass
@@ -127,15 +127,16 @@ def _assign_dlogw(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
     return p * (grad_p - (grad_p * p).sum(axis=1, keepdims=True))
 
 
-def _vjp(diff: np.ndarray, sq: np.ndarray, dlogw: np.ndarray):
-    """Chain ``dlogw`` back to the embeddings (N, c) and the centers (K, c).
+def _vjp(z: np.ndarray, centers: np.ndarray, sq: np.ndarray, dlogw: np.ndarray):
+    """Chain ``dlogw`` back to the embeddings z (N, c) and the centers (K, c).
 
-    ``diff`` and ``sq`` are the kernel's difference tensor and squared
-    distances.  log w = -log(1 + sq), so d sq = dlogw * -1 / (1 + sq).
+    ``sq`` holds the kernel's squared distances.  log w = -log(1 + sq),
+    so d sq = dlogw * -1 / (1 + sq), and d sq / d z_i = 2 (z_i - mu_k)
+    sums over k to ``dsq.sum(1) * z - dsq @ centers``.
     """
     dsq = dlogw * (-1.0 / (1.0 + sq))
-    grad_z = 2.0 * np.einsum("nk,nkc->nc", dsq, diff)
-    grad_centers = -2.0 * np.einsum("nk,nkc->kc", dsq, diff)
+    grad_z = 2.0 * (dsq.sum(axis=1)[:, None] * z - dsq @ centers)
+    grad_centers = -2.0 * (dsq.T @ z - dsq.sum(axis=0)[:, None] * centers)
     return grad_z, grad_centers
 
 
@@ -143,9 +144,7 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
     """Analytic gradients of :func:`kl_loss` through :func:`soft_assign`.
 
     Targets q are treated as constants.  Returns gradients w.r.t. the
-    embeddings (N, c) and the prototype centers (K, c).  Unlike
-    :func:`soft_assign`, this builds the whole (N, K, c) difference
-    tensor, so it is meant for batch-sized inputs.
+    embeddings (N, c) and the prototype centers (K, c).
     """
     z = _check_embeddings(embeddings, protos)
     q = np.asarray(q, dtype=np.float64)
@@ -153,8 +152,8 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
         raise ParameterError(
             f"q shape {q.shape} does not match ({z.shape[0]}, {protos.n_clusters})"
         )
-    sq, diff = distances.exact_with_differences(z, protos.centers)
-    return _vjp(diff, sq, _kl_dlogw(q, _kernel(sq)))
+    sq = distances.exact(z, protos.centers)
+    return _vjp(z, protos.centers, sq, _kl_dlogw(q, _kernel(sq)))
 
 
 def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
@@ -162,8 +161,6 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
 
     Given dLoss/dp, returns (dLoss/dembeddings, dLoss/dcenters).  Used to
     chain arbitrary losses on the assignment matrix, e.g. consistency.
-    Like :func:`kl_loss_gradients`, it builds the whole (N, K, c)
-    difference tensor.
     """
     z = _check_embeddings(embeddings, protos)
     grad_p = np.asarray(grad_p, dtype=np.float64)
@@ -172,8 +169,8 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
             f"grad_p shape {grad_p.shape} does not match "
             f"({z.shape[0]}, {protos.n_clusters})"
         )
-    sq, diff = distances.exact_with_differences(z, protos.centers)
-    return _vjp(diff, sq, _assign_dlogw(_kernel(sq), grad_p))
+    sq = distances.exact(z, protos.centers)
+    return _vjp(z, protos.centers, sq, _assign_dlogw(_kernel(sq), grad_p))
 
 
 def consistency_loss(p: np.ndarray, p_prime: np.ndarray):

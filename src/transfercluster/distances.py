@@ -3,12 +3,10 @@
 :func:`exact` builds explicit differences and is accurate to the last
 bits: use it where distances feed further arithmetic (assignment
 kernels, gradients, silhouette means).  It works in row blocks of at
-most :data:`BLOCK_ELEMENTS` differences, so a full-set pass holds one
-block, not the whole (n, k, c) tensor.  :func:`exact_with_differences`
-returns that whole tensor and is meant for batch-sized inputs.
-:func:`expanded` needs only a matrix product, but cancellation makes
-small distances inexact: use it only to rank or sample by distance
-(k-means assignment and seeding).
+most :data:`BLOCK_ELEMENTS` differences, so it never holds the whole
+(n, k, c) tensor.  :func:`expanded` needs only a matrix product, but
+cancellation makes small distances inexact: use it only to rank or
+sample by distance (k-means assignment and seeding).
 """
 
 import numpy as np
@@ -20,21 +18,17 @@ def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, k) squared distances, built from row blocks of explicit differences.
 
     Each entry depends only on its own row of differences, so the result
-    is bitwise equal to ``exact_with_differences(a, b)[0]``.
+    has the same bits for any block size.
     """
     n, k = a.shape[0], b.shape[0]
     out = np.empty((n, k), dtype=np.result_type(a, b))
     rows = max(1, BLOCK_ELEMENTS // max(1, k * a.shape[1]))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        out[block] = exact_with_differences(a[block], b)[0]
+        diff = a[block, None, :] - b[None, :, :]
+        out[block] = np.einsum("nkc,nkc->nk", diff, diff)
+        del diff   # free this block before the next one is built
     return out
-
-
-def exact_with_differences(a: np.ndarray, b: np.ndarray):
-    """:func:`exact` and the whole (n, k, c) difference tensor it sums over."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("nkc,nkc->nk", diff, diff), diff
 
 
 def expanded(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:

@@ -116,42 +116,31 @@ def silhouettes(x, labellings) -> list[float]:
 
     Each row chunk's distances to every row are computed once, from
     explicit coordinate differences (numerically exact, unlike the
-    expanded dot-product form), and shared by all labellings: the block
-    times a labelling's one-hot membership gives each chunk row's summed
-    distance to every cluster.  Chunks are sized to
-    :data:`distances.BLOCK_ELEMENTS`, and one-hot memberships are held
-    for as many labellings at a time as fit in that budget; further
-    labellings take another pass.  Inputs are not validated: ``x`` is a
-    float (N, c) array and every labelling has one label per row and at
-    least 2 clusters, as :func:`silhouette` checks.
+    expanded dot-product form), and shared by all labellings.  A
+    labelling sorts its coded labels once (stably); the chunk's columns
+    in that order, summed over each cluster's segment by
+    ``np.add.reduceat``, give each chunk row's summed distance to every
+    cluster.  The sums go through no matrix product, so their bits do
+    not depend on the BLAS thread count.  Chunks are sized to
+    :data:`distances.BLOCK_ELEMENTS`.  Inputs are not validated: ``x``
+    is a float (N, c) array and every labelling has one label per row
+    and at least 2 clusters, as :func:`silhouette` checks.
     """
     n = x.shape[0]
     coded = [np.unique(labels, return_inverse=True)[1] for labels in labellings]
     counts = [np.bincount(idx) for idx in coded]
+    # No coded cluster is empty, so every reduceat segment is non-empty.
+    orders = [np.argsort(idx, kind="stable") for idx in coded]
+    starts = [np.cumsum(c) - c for c in counts]
     scores = np.zeros((len(coded), n))
-    budget = distances.BLOCK_ELEMENTS
-    chunk = max(1, budget // max(1, n * x.shape[1]))
-    for group in _membership_groups([c.size for c in counts], budget // n):
-        memberships = [np.eye(counts[i].size)[coded[i]] for i in group]
-        for start in range(0, n, chunk):
-            rows = slice(start, start + chunk)
-            dist = np.sqrt(distances.exact(x[rows], x))
-            for i, membership in zip(group, memberships):
-                scores[i, rows] = _row_scores(dist @ membership, coded[i][rows], counts[i])
+    chunk = max(1, distances.BLOCK_ELEMENTS // max(1, n * x.shape[1]))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        dist = np.sqrt(distances.exact(x[rows], x))
+        for i, (order, first) in enumerate(zip(orders, starts)):
+            sums = np.add.reduceat(dist[:, order], first, axis=1)
+            scores[i, rows] = _row_scores(sums, coded[i][rows], counts[i])
     return [float(row.mean()) for row in scores]
-
-
-def _membership_groups(widths, budget):
-    """Consecutive index groups whose summed widths fit ``budget`` (at least one each)."""
-    group, used = [], 0
-    for i, width in enumerate(widths):
-        if group and used + width > budget:
-            yield group
-            group, used = [], 0
-        group.append(i)
-        used += width
-    if group:
-        yield group
 
 
 def _row_scores(sums, idx, counts):

@@ -219,7 +219,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             rows = order[start : start + batch_size]
             xb = x[rows]
             trace = _forward_trace(enc, xb)
-            sq, diff = distances.exact_with_differences(trace[0], protos.centers)
+            sq = distances.exact(trace[0], protos.centers)
             p = _kernel(sq)
             dlogw = _kl_dlogw(q[rows], p)
             if config.variant in ("pi", "te"):
@@ -232,7 +232,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
                 closs, grad_p = consistency_loss(p, p_prime)
                 dlogw = dlogw + _assign_dlogw(p, omega * grad_p)
                 cons_total += closs
-            grad_z, grad_centers = _vjp(diff, sq, dlogw)
+            grad_z, grad_centers = _vjp(trace[0], protos.centers, sq, dlogw)
             enc_grads, _ = _backward(enc, trace, grad_z)
             opt.step([grad_centers, *enc_grads.arrays()])
             global_step += 1

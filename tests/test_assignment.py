@@ -74,16 +74,23 @@ class TestSoftAssign:
         with pytest.raises(ParameterError):
             soft_assign(np.zeros((2, 3)), Prototypes(np.zeros((2, 2))))
 
-    def test_full_set_pass_holds_one_difference_block(self):
+    @pytest.mark.parametrize("call", [
+        lambda z, protos, other: soft_assign(z, protos),
+        kl_loss_gradients,
+        soft_assign_grads,
+    ], ids=["soft_assign", "kl_loss_gradients", "soft_assign_grads"])
+    def test_full_set_pass_holds_one_difference_block(self, call):
         """The (N, K, c) differences are never held whole: the peak is one
-        block plus a few (N, K) arrays (the whole tensor here is 73 MiB)."""
+        block plus a few (N, K) arrays (the whole tensor here is 73 MiB).
+        ``other`` is the gradient functions' q or upstream dLoss/dp."""
         n, k = 6000, 40
         rng = np.random.default_rng(5)
         z = rng.normal(size=(n, k))
         protos = Prototypes(rng.normal(size=(k, k)))
+        other = rng.dirichlet(np.ones(k), size=n)
         tracemalloc.start()
         try:
-            soft_assign(z, protos)
+            call(z, protos, other)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -308,15 +315,17 @@ class TestGradients:
         protos = Prototypes(rng.normal(size=(4, 3)))
         q = rng.dirichlet(np.ones(4), size=7)
         grad_p = rng.normal(size=(7, 4))
-        sq, diff = distances.exact_with_differences(z, protos.centers)
+        sq = distances.exact(z, protos.centers)
         p = _kernel(sq)
 
-        fused_z, fused_c = _vjp(diff, sq, _kl_dlogw(q, p) + _assign_dlogw(p, grad_p))
+        fused_z, fused_c = _vjp(z, protos.centers, sq,
+                                _kl_dlogw(q, p) + _assign_dlogw(p, grad_p))
         kl_z, kl_c = kl_loss_gradients(z, protos, q)
         cons_z, cons_c = soft_assign_grads(z, protos, grad_p)
         assert rel_error(fused_z, kl_z + cons_z) <= 1e-12
         assert rel_error(fused_c, kl_c + cons_c) <= 1e-12
 
-        zero_z, zero_c = _vjp(diff, sq, _kl_dlogw(q, p) + _assign_dlogw(p, np.zeros_like(p)))
+        zero_z, zero_c = _vjp(z, protos.centers, sq,
+                              _kl_dlogw(q, p) + _assign_dlogw(p, np.zeros_like(p)))
         np.testing.assert_array_equal(zero_z, kl_z)
         np.testing.assert_array_equal(zero_c, kl_c)

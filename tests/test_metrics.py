@@ -1,10 +1,15 @@
 """Tests for clustering metrics against brute-force reference code."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from transfercluster import distances
 from transfercluster.errors import ParameterError
 from transfercluster.metrics import (
     clustering_accuracy,
@@ -154,7 +159,7 @@ class TestSilhouette:
         labels = rng.integers(0, 3, size=30)
         assert -1.0 <= silhouette(x, labels) <= 1.0
 
-    def test_shared_pass_equals_separate_calls(self):
+    def test_shared_pass_equals_separate_calls(self, monkeypatch):
         rng = np.random.default_rng(6)
         n = 500
         x = rng.normal(size=(n, 2))
@@ -162,10 +167,31 @@ class TestSilhouette:
         with_singleton = rng.integers(0, 5, size=n)
         with_singleton[17] = 9
         labellings += [with_singleton, rng.integers(0, 2, size=n)]
-        # More one-hot columns than one block holds: the shared pass
-        # splits the labellings into several groups.
-        assert n * sum(np.unique(l).size for l in labellings) > 1 << 22
+        # 120 rows a chunk: the pass takes five chunks, the last one short.
+        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 120 * n * 2)
         assert silhouettes(x, labellings) == [silhouette(x, l) for l in labellings]
+
+    def test_shared_pass_is_independent_of_blas_threads(self):
+        """The per-cluster sums go through no matrix product, so 1 and 2
+        BLAS threads give the same bits."""
+        script = (
+            "import numpy as np\n"
+            "from transfercluster.metrics import silhouettes\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.normal(size=(1000, 64))\n"
+            "labellings = [rng.integers(0, k, 1000) for k in range(2, 26)]\n"
+            "print(np.array(silhouettes(x, labellings)).tobytes().hex())\n"
+        )
+        src = str(Path(distances.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_single_cluster_raises(self):
         with pytest.raises(ParameterError):
