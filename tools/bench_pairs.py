@@ -90,47 +90,43 @@ def run_pairs(args, workload: str, directions: dict):
     Returns the workload's record and each side's first environment line.
     """
     sides = {"parent": args.parent, "change": args.change}
-    results = {"parent": [], "change": []}
-    pairs = []
+    pairs, environment = [], {}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {}
+        runs = {}
         for side in order:
-            pair[side] = run_once(sides[side], workload, seed, args.seconds)
-            results[side].append(pair[side])
-        pairs.append({"seed": seed, "first": order[0], **{
-            side: {**{name: pair[side]["metrics"][name]["value"] for name in directions},
-                   "failed": pair[side]["failed"], "attempted": pair[side]["attempted"]}
-            for side in sides}})
+            result = run_once(sides[side], workload, seed, args.seconds)
+            environment.setdefault(side, result["environment"])
+            units = {name: result["metrics"][name]["unit"] for name in directions}
+            runs[side] = {**{name: result["metrics"][name]["value"] for name in directions},
+                          "failed": result["failed"], "attempted": result["attempted"]}
+        pairs.append({"seed": seed, "first": order[0], **{side: runs[side] for side in sides}})
         shown = "  ".join(
-            f"{side}: " + " ".join(f"{name}={pair[side]['metrics'][name]['value']:.4g}"
-                                   for name in directions)
-            + f" failed={pair[side]['failed']}/{pair[side]['attempted']}"
+            f"{side}: " + " ".join(f"{name}={runs[side][name]:.4g}" for name in directions)
+            + f" failed={runs[side]['failed']}/{runs[side]['attempted']}"
             for side in sides)
         print(f"pair {i + 1} seed {seed} first={order[0]}  {shown}", flush=True)
 
     print(f"{workload}: {len(args.seeds)} pairs, --seconds {args.seconds:g}")
     summary = {}
     for name, better in directions.items():
-        values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in sides}
+        values = {side: [pair[side][name] for pair in pairs] for side in sides}
         sign = 1 if better == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         (p1, pm, p3), (c1, cm, c3) = (_quartiles(values[s]) for s in ("parent", "change"))
-        unit = results["parent"][0]["metrics"][name]["unit"]
-        print(f"  {name} ({unit}, {better} is better): parent median {pm:.4g} "
+        print(f"  {name} ({units[name]}, {better} is better): parent median {pm:.4g} "
               f"[{p1:.4g}, {p3:.4g}], change median {cm:.4g} [{c1:.4g}, {c3:.4g}], "
               f"median change {(cm - pm) / pm:+.1%}, parent IQR {p3 - p1:.4g}, "
               f"change won {wins}/{len(args.seeds)}")
-        summary[name] = {"unit": unit, "better": better,
+        summary[name] = {"unit": units[name], "better": better,
                          "parent": {"q1": p1, "median": pm, "q3": p3},
                          "change": {"q1": c1, "median": cm, "q3": c3},
                          "change_won": wins}
     for side in sides:
-        failed = sum(r["failed"] for r in results[side])
-        attempted = sum(r["attempted"] for r in results[side])
+        failed = sum(pair[side]["failed"] for pair in pairs)
+        attempted = sum(pair[side]["attempted"] for pair in pairs)
         print(f"  {side} failed {failed}/{attempted} operations")
-    return ({"pairs": pairs, "metrics": summary},
-            {side: results[side][0]["environment"] for side in sides})
+    return {"pairs": pairs, "metrics": summary}, environment
 
 
 def main(argv) -> int:
