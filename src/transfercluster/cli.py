@@ -146,10 +146,6 @@ def _run_cluster(encoder, data, ns, k):
 
 
 def cmd_cluster(ns, argv):
-    if ns.k is None and not ns.auto_k:
-        raise ParameterError("provide --k or --auto-k")
-    if ns.k is not None and ns.auto_k:
-        raise ParameterError("provide either --k or --auto-k, not both")
     if ns.auto_k and not ns.probe:
         raise ParameterError("--auto-k needs --probe")
     encoder = load_encoder(ns.encoder)
@@ -361,9 +357,10 @@ def build_parser() -> _Parser:
 
     cluster = commands.add_parser("cluster", help="cluster unlabelled data")
     _add_cluster_flags(cluster)
-    cluster.add_argument("--k", type=int, default=None, help="number of clusters")
-    cluster.add_argument("--auto-k", action="store_true",
-                         help="estimate k from probe classes first")
+    count = cluster.add_mutually_exclusive_group(required=True)
+    count.add_argument("--k", type=int, default=None, help="number of clusters")
+    count.add_argument("--auto-k", action="store_true",
+                       help="estimate k from probe classes first")
     cluster.add_argument("--probe", default=None, help="labelled probe file for --auto-k")
     _add_estimate_flags(cluster)
     cluster.add_argument("--bottleneck", type=int, default=None,

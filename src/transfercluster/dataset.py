@@ -171,8 +171,6 @@ def _load_csv(path):
             row = [float(tok) for tok in parts[1 : 1 + dim]]
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in row):
-            raise DataError(f"{path}: non-finite value in row id '{parts[0]}'")
         rows.append(row)
         if has_labels:
             try:

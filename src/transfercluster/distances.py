@@ -2,16 +2,25 @@
 
 :func:`exact` builds explicit differences and is accurate to the last
 bits: use it where distances feed further arithmetic (assignment
-kernels, gradients, silhouette means).  It works in row blocks of at
-most :data:`BLOCK_ELEMENTS` differences, so it never holds the whole
-(n, k, c) tensor.  :func:`expanded` needs only a matrix product, but
-cancellation makes small distances inexact: use it only to rank or
-sample by distance (k-means assignment and seeding).
+kernels, gradients, silhouette means).  It works in the row blocks that
+:func:`row_blocks` yields, of at most :data:`BLOCK_ELEMENTS` values
+each, so it never holds the whole (n, k, c) tensor.  :func:`expanded`
+needs only a matrix product, but cancellation makes small distances
+inexact: use it only to rank or sample by distance (k-means assignment
+and seeding).
 """
 
 import numpy as np
 
 BLOCK_ELEMENTS = 1 << 22   # float64 elements in one working block (32 MiB)
+
+
+def row_blocks(n: int, width: int):
+    """Slices that cover rows 0..n-1 in order, each holding at most
+    :data:`BLOCK_ELEMENTS` values of ``width`` per row (one row at least)."""
+    rows = max(1, BLOCK_ELEMENTS // max(1, width))
+    for start in range(0, n, rows):
+        yield slice(start, start + rows)
 
 
 def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -22,18 +31,14 @@ def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n, k = a.shape[0], b.shape[0]
     out = np.empty((n, k), dtype=np.result_type(a, b))
-    rows = max(1, BLOCK_ELEMENTS // max(1, k * a.shape[1]))
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
+    for block in row_blocks(n, k * a.shape[1]):
         diff = a[block, None, :] - b[None, :, :]
         out[block] = np.einsum("nkc,nkc->nk", diff, diff)
         del diff   # free this block before the next one is built
     return out
 
 
-def expanded(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
-    """``|a|^2 + |b|^2 - 2 a.b`` clamped at 0; ``a_sq`` may pass ``|a|^2`` in."""
-    if a_sq is None:
-        a_sq = np.einsum("nc,nc->n", a, a)
+def expanded(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray) -> np.ndarray:
+    """``|a|^2 + |b|^2 - 2 a.b`` clamped at 0, with ``a_sq`` holding ``|a|^2``."""
     b_sq = np.einsum("kc,kc->k", b, b)
     return np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)

@@ -5,11 +5,11 @@ an affine map installed from a PCA fit and fine-tuned afterwards like
 any other layer.  Forward and backward passes are plain numpy; backward
 returns exact analytic gradients.
 
-``_forward_trace`` keeps each layer's input and the trunk output, and
-``_backward`` consumes such a trace, so a training step runs the
-forward pass once and backpropagates through the same trace.  The
-public :func:`backward` traces the batch itself and gives bit-identical
-gradients.
+``_forward_trace`` keeps every trunk activation, from the input to the
+trunk output, and ``_backward`` consumes such a trace, so a training
+step runs the forward pass once and backpropagates through the same
+trace.  The public :func:`backward` traces the batch itself and gives
+bit-identical gradients.
 """
 
 import struct
@@ -125,20 +125,19 @@ class PcaModel:
 
 
 def _forward_trace(encoder: EncoderParams, x: np.ndarray):
-    """Forward pass as ``(output, per-layer inputs, trunk output)``.
+    """Forward pass as ``(output, activations)``.
 
-    :func:`_backward` takes the whole tuple.
+    ``activations[i]`` is layer i's input and ``activations[-1]`` the
+    trunk output.  :func:`_backward` takes the whole tuple.
     """
-    inputs = []
-    h = x
+    activations = [x]
     for layer in encoder.layers:
-        inputs.append(h)
-        h = np.tanh(h @ layer.weights.T + layer.bias)
-    trunk_out = h
+        activations.append(np.tanh(activations[-1] @ layer.weights.T + layer.bias))
+    h = activations[-1]
     if encoder.bottleneck is not None:
         a, b = encoder.bottleneck
-        h = trunk_out @ a.T + b
-    return h, inputs, trunk_out
+        h = h @ a.T + b
+    return h, activations
 
 
 def forward(encoder: EncoderParams, batch):
@@ -154,7 +153,7 @@ def forward(encoder: EncoderParams, batch):
         raise ParameterError(
             f"batch dim {values.shape[1]} does not match encoder input dim {encoder.input_dim}"
         )
-    out, _, _ = _forward_trace(encoder, values)
+    out, _ = _forward_trace(encoder, values)
     if isinstance(batch, FeatureMatrix):
         return FeatureMatrix(out, batch.ids)
     return out
@@ -177,20 +176,18 @@ def backward(encoder: EncoderParams, batch, upstream: np.ndarray):
 
 def _backward(encoder: EncoderParams, trace, upstream: np.ndarray):
     """:func:`backward` through a kept :func:`_forward_trace` of the batch."""
-    _, inputs, trunk_out = trace
+    _, activations = trace
     grad = upstream
     bottleneck_grads = None
     if encoder.bottleneck is not None:
         a, _ = encoder.bottleneck
-        bottleneck_grads = (grad.T @ trunk_out, grad.sum(axis=0))
+        bottleneck_grads = (grad.T @ activations[-1], grad.sum(axis=0))
         grad = grad @ a
 
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
-    # Activation outputs per layer: inputs[i+1] is layer i's output,
-    # except the last, whose output is trunk_out.
-    outputs = inputs[1:] + [trunk_out]
     for layer, layer_in, layer_out in zip(reversed(encoder.layers),
-                                          reversed(inputs), reversed(outputs)):
+                                          reversed(activations[:-1]),
+                                          reversed(activations[1:])):
         pre_grad = grad * (1.0 - layer_out * layer_out)
         layer_grads.append((pre_grad.T @ layer_in, pre_grad.sum(axis=0)))
         grad = pre_grad @ layer.weights
@@ -254,6 +251,10 @@ class PretrainConfig:
             raise ParameterError("pretraining needs at least one epoch")
         if self.learning_rate <= 0:
             raise ParameterError("learning rate must be positive")
+        if self.batch_size < 1:
+            raise ParameterError("batch size must be at least 1")
+        if any(width < 1 for width in self.hidden):
+            raise ParameterError(f"hidden widths must be at least 1, got {self.hidden}")
 
 
 class _SgdMomentum:

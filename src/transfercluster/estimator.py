@@ -162,7 +162,7 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
     total_clusters = n_probe_classes + k_hat
     masses = np.bincount(unl_assigns[k_hat], minlength=total_clusters)
     non_anchor = np.arange(n_anchor_clusters, total_clusters)
-    largest = masses[non_anchor].max() if non_anchor.size else 0
+    largest = masses[non_anchor].max()
     dropped = [(int(c), int(masses[c])) for c in non_anchor
                if masses[c] < tau * largest]
     k_final = int(non_anchor.size - len(dropped))

@@ -90,29 +90,24 @@ def _exact_inertia(x, centers, labels):
 def _plusplus_init(x, x_sq, n_new, rng, existing):
     """k-means++ seeding over ``x``; existing centers join the D^2 pool.
 
+    The first draw is uniform only when there are no existing centers.
     Raises once every row sits on a chosen or existing center, since a
     further seed would duplicate a center and leave a cluster empty.
     """
     n = x.shape[0]
     chosen = np.empty((n_new, x.shape[1]))
-    if n_new == 0:
-        return chosen
-    if len(existing):
-        d2 = distances.expanded(x, existing, x_sq).min(axis=1)
-        start = 0
-    else:
-        first = int(rng.integers(n))
-        chosen[0] = x[first]
-        d2 = distances.expanded(x, chosen[:1], x_sq)[:, 0]
-        start = 1
-    for j in range(start, n_new):
-        total = d2.sum()
-        if total == 0:
-            raise ParameterError(
-                f"{n_new} free clusters but only {j} distinct free positions "
-                "off the anchor centers"
-            )
-        idx = int(rng.choice(n, p=d2 / total))
+    d2 = distances.expanded(x, existing, x_sq).min(axis=1) if len(existing) else np.full(n, np.inf)
+    for j in range(n_new):
+        if j == 0 and not len(existing):
+            idx = int(rng.integers(n))
+        else:
+            total = d2.sum()
+            if total == 0:
+                raise ParameterError(
+                    f"{n_new} free clusters but only {j} distinct free positions "
+                    "off the anchor centers"
+                )
+            idx = int(rng.choice(n, p=d2 / total))
         chosen[j] = x[idx]
         d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1], x_sq)[:, 0])
     return chosen
@@ -121,10 +116,7 @@ def _plusplus_init(x, x_sq, n_new, rng, existing):
 def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     n = x.shape[0]
     history = []
-    labels = np.zeros(n, dtype=np.int64)
-    iterations = 0
-    for _ in range(MAX_ITER):
-        iterations += 1
+    for iterations in range(1, MAX_ITER + 1):
         d2 = distances.expanded(x, centers, x_sq)
         labels = d2.argmin(axis=1)
         labels[anchor_rows] = anchor_cluster
@@ -139,17 +131,13 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
                                sums / np.maximum(counts, 1)[:, None], centers)
         # Empty clusters reseed at the free point farthest from its center.
         repaired = np.zeros(n, dtype=bool)
-        for j in range(k):
-            if counts[j] > 0:
-                continue
+        for j in np.flatnonzero(counts == 0):
             candidates = free_idx[~repaired[free_idx]]
             if candidates.size == 0:
                 raise ParameterError("not enough free rows to repair empty clusters")
             pick = candidates[np.argmax(own[candidates])]
             new_centers[j] = x[pick]
-            labels[pick] = j
             repaired[pick] = True
-            counts[j] = 1
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < TOL:
@@ -197,7 +185,7 @@ def constrained_kmeans(data, k: int, constraints: AnchorConstraints,
             f"{n_free_clusters} free clusters but only {free_x.shape[0]} free rows"
         )
     x_sq = np.einsum("nc,nc->n", x, x)
-    free_sq = np.einsum("nc,nc->n", free_x, free_x)
+    free_sq = x_sq[free_idx]
 
     best = None
     for run in range(N_INIT):

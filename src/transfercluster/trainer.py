@@ -204,6 +204,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
 
     perturb_seed = derive_seed(config.seed, "perturb-stream")
     batch_size = min(config.batch_size, n)
+    n_batches = len(range(0, n, batch_size))
     total_epochs = config.warmup_epochs + config.main_epochs
     records = []
     global_step = 0
@@ -213,7 +214,6 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
         order = rng_for(config.seed, "shuffle", epoch).permutation(n)
         ensemble = ema_corrected(state) if config.variant == "te" else None
         cons_total = 0.0
-        n_batches = 0
         q_hash = _hash_matrix(q)
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
@@ -236,7 +236,6 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             enc_grads, _ = _backward(enc, trace, grad_z)
             opt.step([grad_centers, *enc_grads.arrays()])
             global_step += 1
-            n_batches += 1
 
         embeddings = forward(enc, x)
         p_full = soft_assign(embeddings, protos)
@@ -248,7 +247,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             epoch=epoch,
             phase=phase,
             kl_loss=kl_loss(q, p_full),
-            consistency_loss=cons_total / n_batches if n_batches else 0.0,
+            consistency_loss=cons_total / n_batches,
             omega=omega,
             mass_hist=np.bincount(p_full.argmax(axis=1), minlength=protos.n_clusters),
             q_hash=q_hash,

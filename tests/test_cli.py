@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line pipeline and its manifests."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transfercluster
 from transfercluster.cli import main
 from transfercluster.dataset import LabeledSet, load_features, load_labeled, split_probes
 from transfercluster.encoder import forward, load_encoder
@@ -70,6 +74,18 @@ class TestSynth:
         assert (out / "labeled.dtcf").read_bytes()[:4] == b"DTCF"
 
 
+class TestPretrain:
+    @pytest.mark.parametrize("flags", [("--batch-size", 0), ("--batch-size", -4),
+                                       ("--hidden", 0), ("--hidden", -3)],
+                             ids=["batch-0", "batch-negative", "hidden-0", "hidden-negative"])
+    def test_size_below_one_is_usage_error(self, synth_dir, tmp_path, capsys, flags):
+        out = tmp_path / "enc"
+        assert run("pretrain", "--labeled", synth_dir / "labeled.csv", *flags,
+                   "--epochs", 1, "--out-dir", out) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCluster:
     def test_zero_epochs_is_kmeans_init(self, synth_dir, encoder_path, tmp_path):
         out = tmp_path / "run"
@@ -124,6 +140,11 @@ class TestCluster:
         assert run("cluster", "--encoder", encoder_path,
                    "--data", synth_dir / "unlabeled.csv",
                    "--out-dir", tmp_path / "x") == 1
+
+    def test_k_and_auto_k_together_is_usage_error(self, synth_dir, encoder_path, tmp_path):
+        assert run("cluster", "--encoder", encoder_path,
+                   "--data", synth_dir / "unlabeled.csv", "--k", 3, "--auto-k",
+                   "--probe", synth_dir / "labeled.csv", "--out-dir", tmp_path / "x") == 1
 
     def test_missing_checkpoint_is_data_error(self, synth_dir, tmp_path):
         assert run("cluster", "--encoder", tmp_path / "nope.dtce",
@@ -397,3 +418,29 @@ def test_worker_threads_leave_outputs_unchanged(synth_dir, encoder_path, tmp_pat
     assert run(*args, "--out-dir", threaded) == 0
     for name in outputs:
         assert digest(serial / name) == digest(threaded / name)
+
+
+@pytest.mark.parametrize("command", ["estimate-k", "cluster"])
+def test_blas_threads_leave_outputs_unchanged(synth_dir, encoder_path, tmp_path, command):
+    """One and two BLAS and OpenMP threads write the same bytes.
+
+    Each run is a fresh process, because BLAS reads its thread count once
+    at load time.
+    """
+    if command == "estimate-k":
+        flags = ("--probe", synth_dir / "labeled.csv", "--k-max", 5)
+        outputs = ("sweep.csv", "estimate_report.txt")
+    else:
+        flags = ("--k", 3, "--variant", "pi", "--warmup", 2, "--epochs", 4)
+        outputs = ("assignments.csv", "trace.csv")
+    src = str(Path(transfercluster.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        argv = [command, "--encoder", encoder_path, "--data", synth_dir / "unlabeled.csv",
+                "--seed", 1, *flags, "--out-dir", tmp_path / threads]
+        subprocess.run([sys.executable, "-m", "transfercluster.cli", *map(str, argv)],
+                       env=env, capture_output=True, check=True)
+    for name in outputs:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

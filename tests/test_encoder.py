@@ -327,6 +327,13 @@ class TestPretrain:
         np.testing.assert_array_equal(forward(result.encoder, x), x)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
+    @pytest.mark.parametrize("field", [{"batch_size": 0}, {"batch_size": -4},
+                                       {"hidden": (0,)}, {"hidden": (8, -3)}],
+                             ids=["batch-0", "batch-negative", "hidden-0", "hidden-negative"])
+    def test_config_rejects_sizes_below_one(self, field):
+        with pytest.raises(ParameterError):
+            PretrainConfig(**field)
+
     def test_deterministic(self):
         labeled, _, _ = synth_mixture(3, 1, 20, 5, 5.0, seed=5)
         a = pretrain_encoder(labeled, PretrainConfig(epochs=5), seed=7)

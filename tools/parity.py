@@ -1,21 +1,29 @@
-"""Run a fixed CLI sequence and print a SHA-256 line for everything it writes.
+"""Print SHA-256 listings of a fixed CLI sequence and of the benchmark outputs.
 
 Usage::
 
-    python tools/cli_parity.py WORK_DIR > digests.txt
+    python tools/parity.py WORK_DIR SEEDS > listing.txt
 
-WORK_DIR must be empty or absent.  The script imports the package from
-the ``src/`` directory next to it, runs every step in-process with paths
-relative to WORK_DIR, and prints ``<sha256>  <path>`` for each file left
-in WORK_DIR, followed by ``<sha256>  <step>/stdout exit=<code>`` for each
-step's standard output.  Running it from two checkouts and diffing the
-two listings shows whether they behave the same.
+WORK_DIR must be empty or absent; SEEDS is a comma-separated list of
+integers.  The package comes from the ``src/`` directory next to this
+script.  Diffing the listings of two checkouts shows whether they behave
+the same.
 
-The sequence covers synth in CSV and binary, pretrain, ``cluster`` with
-all four variants (one of them on binary data), ``--ramp``, ``--auto-k``,
+First, every step of a fixed CLI sequence runs in-process in WORK_DIR,
+and the script prints ``<sha256>  <path>`` for each file left there,
+then ``<sha256>  <step>/stdout exit=<code>`` for each step.  The
+sequence covers synth in CSV and binary, pretrain, ``cluster`` with all
+four variants (one on binary data), ``--ramp``, ``--auto-k``,
 ``estimate-k`` with and without ``--n-probe``, both sweeps (one with
 ``DTC_THREADS=2``), ``eval`` in both formats and ``rerun`` of five
-manifests.  Every run is small, so the whole sequence takes seconds.
+manifests.  Then each workload in ``perfbench/workloads.py`` runs once
+per seed with no tracer, in a temporary directory, and the script prints
+``<workload> <seed> <digest>`` from its ``Outcome.digest``.  Nothing is
+written under ``perfbench/``.
+
+Thread counts (BLAS, OpenMP, ``DTC_THREADS``) come from the caller's
+environment, so running one checkout at 1 and at 2 threads and diffing
+the two listings shows whether any output depends on them.
 """
 
 import contextlib
@@ -23,11 +31,17 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True   # leave no __pycache__ under perfbench/
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
 
-from transfercluster.cli import main  # noqa: E402
+from tracer import NullTracer  # noqa: E402
+from transfercluster import cli  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 TRAIN = ["--encoder", "enc/encoder.dtce", "--warmup", "2", "--epochs", "4", "--seed", "2"]
 TRUTH = ["--truth", "data/unlabeled_truth.csv"]
@@ -81,40 +95,59 @@ STEPS = [
 
 def run_step(argv, env):
     """Exit code and stdout of one CLI call, with ``env`` set only for it."""
+    saved = os.environ.copy()
     os.environ.update(env)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+            code = cli.main(argv)
     finally:
-        for key in env:
-            del os.environ[key]
+        os.environ.clear()
+        os.environ.update(saved)
     return code, out.getvalue()
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def run_parity(work_dir) -> int:
-    work = Path(work_dir)
-    work.mkdir(parents=True, exist_ok=True)
-    if any(work.iterdir()):
-        print(f"error: {work} is not empty", file=sys.stderr)
-        return 2
+def cli_listing(work: Path) -> None:
     os.chdir(work)
     stdout_lines = []
     for name, argv, env in STEPS:
         code, text = run_step(argv, env)
-        stdout_lines.append(f"{sha256(text.encode())}  {name}/stdout exit={code}")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        stdout_lines.append(f"{digest}  {name}/stdout exit={code}")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
-        print(f"{sha256(path.read_bytes())}  {path.as_posix()}")
-    print("\n".join(stdout_lines))
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+    print("\n".join(stdout_lines), flush=True)
+
+
+def bench_digest(workload, seed: int) -> str:
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        inputs = workload.setup(seed, work)
+        result = workload.run(inputs, work / "out", NullTracer())
+        return workload.outcome(inputs, result, work / "out").digest
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    work = Path(argv[0]).resolve()
+    try:
+        seeds = [int(s) for s in argv[1].split(",")]
+    except ValueError:
+        print(f"error: SEEDS must be comma-separated integers, got '{argv[1]}'",
+              file=sys.stderr)
+        return 2
+    work.mkdir(parents=True, exist_ok=True)
+    if any(work.iterdir()):
+        print(f"error: {work} is not empty", file=sys.stderr)
+        return 2
+    cli_listing(work)
+    for name, workload in WORKLOADS.items():
+        for seed in seeds:
+            print(f"{name} {seed} {bench_digest(workload, seed)}", flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        raise SystemExit(2)
-    raise SystemExit(run_parity(sys.argv[1]))
+    raise SystemExit(main(sys.argv[1:]))
