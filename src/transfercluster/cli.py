@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import (
+    FORMATS,
     LabeledSet,
     load_features,
     load_labeled,
@@ -30,7 +31,7 @@ from .estimator import default_threads, estimate_class_count, parallel_map, swee
 from .manifest import file_digest, read_manifest, write_manifest
 from .metrics import count_error, evaluate_clustering
 from .regularizers import RampSchedule
-from .trainer import TrainConfig, initialize, train
+from .trainer import VARIANTS, TrainConfig, initialize, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,15 +304,14 @@ def _add_common(sub, *, fmt=True):
     sub.add_argument("--out-dir", default=".", help="directory for outputs and the manifest")
     sub.add_argument("--seed", type=int, default=0)
     if fmt:
-        sub.add_argument("--format", choices=("csv", "binary"), default="csv",
+        sub.add_argument("--format", choices=FORMATS, default="csv",
                          help="feature file format")
 
 
 def _add_cluster_flags(sub):
     sub.add_argument("--encoder", required=True, help="encoder checkpoint")
     sub.add_argument("--data", required=True, help="unlabelled feature file")
-    sub.add_argument("--variant", choices=("baseline", "pi", "te", "tep"),
-                     default="baseline")
+    sub.add_argument("--variant", choices=VARIANTS, default="baseline")
     sub.add_argument("--warmup", type=int, default=10, help="warm-up epochs")
     sub.add_argument("--epochs", type=int, default=90, help="main-loop epochs")
     sub.add_argument("--batch-size", type=int, default=64)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .seeding import rng_for
 
+FORMATS = ("csv", "binary")
 _BINARY_MAGIC = b"DTCF"
 _BINARY_VERSION = 1
 
@@ -181,8 +182,7 @@ def _load_csv(path):
                 ) from None
     if not rows:
         raise DataError(f"{path}: no rows")
-    values = np.array(rows, dtype=np.float64)
-    return FeatureMatrix(values, tuple(ids)), (np.array(labels) if has_labels else None)
+    return rows, ids, (np.array(labels) if has_labels else None)
 
 
 def _load_binary(path):
@@ -210,19 +210,23 @@ def _load_binary(path):
     if has_labels:
         labels = np.frombuffer(blob, dtype="<u4", count=n, offset=header + 8 * n * d)
         labels = labels.astype(np.int64)
-    ids = tuple(str(i) for i in range(n))
-    return FeatureMatrix(values, ids), labels
+    return values, range(n), labels
 
 
 def _check_format(format: str):
-    if format not in ("csv", "binary"):
-        raise ParameterError(f"unknown format '{format}' (use 'csv' or 'binary')")
+    if format not in FORMATS:
+        options = " or ".join(map(repr, FORMATS))
+        raise ParameterError(f"unknown format '{format}' (use {options})")
 
 
 def _load(path, format: str):
     """``(features, labels or None)`` from a file in either format."""
     _check_format(format)
-    return (_load_csv if format == "csv" else _load_binary)(path)
+    values, ids, labels = (_load_csv if format == "csv" else _load_binary)(path)
+    try:
+        return FeatureMatrix(values, ids), labels
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_features(path, format: str = "csv") -> FeatureMatrix:

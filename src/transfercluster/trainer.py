@@ -7,7 +7,8 @@ variant-specific term) with refreshes of the target distribution:
 
 * ``baseline``: KL objective only.
 * ``pi``: adds a ramped consistency penalty between the assignments of
-  each batch and of a perturbed copy of it.
+  each batch and of a perturbed copy of it; the perturbed copy of the
+  whole set is drawn once per epoch.
 * ``te``: adds a ramped consistency penalty between batch assignments
   and the bias-corrected prediction ensemble.
 * ``tep``: builds the targets from the prediction ensemble instead of
@@ -64,7 +65,7 @@ from .regularizers import (
     perturb,
     ramp_weight,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 
 VARIANTS = ("baseline", "pi", "te", "tep")
 
@@ -94,6 +95,10 @@ class TrainConfig:
             raise ParameterError("learning rate must be positive")
         if self.batch_size < 1:
             raise ParameterError("batch size must be at least 1")
+        if not self.perturb_sigma >= 0.0:
+            raise ParameterError(f"perturb sigma must be non-negative, got {self.perturb_sigma}")
+        if not 0.0 <= self.ema_momentum < 1.0:
+            raise ParameterError(f"ema momentum must be in [0, 1), got {self.ema_momentum}")
 
     @property
     def c(self) -> int:
@@ -202,17 +207,17 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
 
     opt = _SgdMomentum([protos.centers, *enc.arrays()], config.learning_rate)
 
-    perturb_seed = derive_seed(config.seed, "perturb-stream")
     batch_size = min(config.batch_size, n)
     n_batches = len(range(0, n, batch_size))
     total_epochs = config.warmup_epochs + config.main_epochs
     records = []
-    global_step = 0
     for epoch in range(total_epochs):
         phase = "warmup" if epoch < config.warmup_epochs else "main"
         omega = ramp_weight(ramp, epoch)
         order = rng_for(config.seed, "shuffle", epoch).permutation(n)
         ensemble = ema_corrected(state) if config.variant == "te" else None
+        if config.variant == "pi":
+            noisy = perturb(x, config.perturb_sigma, config.seed, epoch)
         cons_total = 0.0
         q_hash = _hash_matrix(q)
         for start in range(0, n, batch_size):
@@ -224,8 +229,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             dlogw = _kl_dlogw(q[rows], p)
             if config.variant in ("pi", "te"):
                 if config.variant == "pi":
-                    xb_prime = perturb(xb, config.perturb_sigma, perturb_seed, global_step)
-                    z_prime = _forward_trace(enc, xb_prime)[0]
+                    z_prime = _forward_trace(enc, noisy[rows])[0]
                     p_prime = _kernel(distances.exact(z_prime, protos.centers))
                 else:
                     p_prime = ensemble[rows]
@@ -235,7 +239,6 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             grad_z, grad_centers = _vjp(trace[0], protos.centers, sq, dlogw)
             enc_grads, _ = _backward(enc, trace, grad_z)
             opt.step([grad_centers, *enc_grads.arrays()])
-            global_step += 1
 
         embeddings = forward(enc, x)
         p_full = soft_assign(embeddings, protos)

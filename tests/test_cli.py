@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import transfercluster
+from transfercluster import cli
 from transfercluster.cli import main
 from transfercluster.dataset import LabeledSet, load_features, load_labeled, split_probes
 from transfercluster.encoder import forward, load_encoder
@@ -185,6 +186,24 @@ class TestCluster:
                    "--data", synth_dir / "unlabeled.csv", *extra, "--ramp", 0,
                    "--warmup", 1, "--epochs", 1, "--out-dir", tmp_path / "x") == 1
         assert "total_ramp_steps must be positive" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags", [("--variant", "baseline", "--sigma", -1),
+                                       ("--variant", "te", "--ema-momentum", 1.5)],
+                             ids=["sigma-negative", "momentum-above-one"])
+    def test_regularizer_setting_out_of_range_is_usage_error(
+            self, synth_dir, encoder_path, tmp_path, capsys, monkeypatch, flags):
+        """Rejected with the training config, before any initialization work."""
+        def no_initialize(*args):
+            raise AssertionError("initialize ran")
+
+        monkeypatch.setattr(cli, "initialize", no_initialize)
+        out = tmp_path / "run"
+        assert run("cluster", "--encoder", encoder_path,
+                   "--data", synth_dir / "unlabeled.csv", "--k", 3, *flags,
+                   "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "cluster.manifest").exists()
 
 
 class TestEstimateK:
@@ -393,6 +412,30 @@ class TestErrorPaths:
         argv = [token for pair in files.items() for token in pair]
         assert run(*command, *argv, "--out-dir", tmp_path / "x") == 2
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--probe", "--data"])
+    @pytest.mark.parametrize("defect", ["nan", "repeated-id", "short-row"])
+    def test_feature_file_error_names_the_file_once(self, synth_dir, encoder_path,
+                                                    tmp_path, capsys, flag, defect):
+        files = {"--probe": synth_dir / "labeled.csv", "--data": synth_dir / "unlabeled.csv"}
+        lines = files[flag].read_text().splitlines()
+        fields = lines[1].split(",")
+        if defect == "nan":
+            lines[1] = ",".join([fields[0], "NaN", *fields[2:]])
+            message = f"non-finite value in row id '{fields[0]}'"
+        elif defect == "repeated-id":
+            lines.append(lines[1])
+            message = "row ids are not unique"
+        else:
+            lines[1] = ",".join(fields[:-1])
+            message = f"line 2: expected {len(fields)} fields, got {len(fields) - 1}"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        files[flag] = bad
+        argv = [token for pair in files.items() for token in pair]
+        assert run("estimate-k", "--encoder", encoder_path, *argv, "--k-max", 3,
+                   "--out-dir", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_unknown_command(self):
         assert run("frobnicate") == 1

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from transfercluster import distances
+from transfercluster import distances, trainer
 from transfercluster.assignment import (
     Prototypes,
     consistency_loss,
@@ -33,8 +33,8 @@ from transfercluster.regularizers import (
     perturb,
     ramp_weight,
 )
-from transfercluster.seeding import derive_seed, rng_for
-from transfercluster.trainer import TrainConfig, initialize, predict, train
+from transfercluster.seeding import rng_for
+from transfercluster.trainer import VARIANTS, TrainConfig, initialize, predict, train
 
 
 def small_problem(seed=0, n_classes=3, per_class=40, dim=8, sep=6.0, hidden=(16,)):
@@ -235,19 +235,17 @@ class TestVariants:
         p_full = soft_assign(forward(enc, x), protos)
         q = target_distribution(p_full)
         state = ema_update(EnsembleState.zeros(*p_full.shape, config.ema_momentum), p_full)
-        perturb_seed = derive_seed(config.seed, "perturb-stream")
-        step = 0
         for epoch in range(2):
             omega = ramp_weight(config.ramp_schedule(), epoch)
             order = rng_for(config.seed, "shuffle", epoch).permutation(len(x))
+            x_prime = perturb(x, config.perturb_sigma, config.seed, epoch)
             for start in range(0, len(x), config.batch_size):
                 rows = order[start : start + config.batch_size]
                 xb = x[rows]
                 zb = forward(enc, xb)
                 kl_z, kl_c = kl_loss_gradients(zb, protos, q[rows])
                 if variant == "pi":
-                    xb_prime = perturb(xb, config.perturb_sigma, perturb_seed, step)
-                    p_prime = soft_assign(forward(enc, xb_prime), protos)
+                    p_prime = soft_assign(forward(enc, x_prime[rows]), protos)
                 else:
                     p_prime = ema_corrected(state)[rows]
                 _, grad_p = consistency_loss(soft_assign(zb, protos), p_prime)
@@ -260,7 +258,6 @@ class TestVariants:
                     v *= MOMENTUM
                     v += g
                     param -= config.learning_rate * v
-                step += 1
             p_full = soft_assign(forward(enc, x), protos)
             state = ema_update(state, p_full)
             q = target_distribution(p_full)
@@ -269,6 +266,22 @@ class TestVariants:
         np.testing.assert_array_equal(trace.assignments, labels)
         scale = np.abs(protos.centers).max()
         assert np.abs(trace.prototypes.centers - protos.centers).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pi_perturbs_the_whole_set_once_per_epoch(self, monkeypatch, variant):
+        encoder, unlabeled, _ = small_problem(seed=19)
+        config = TrainConfig(k=3, variant=variant, warmup_epochs=2, main_epochs=3, seed=19)
+        ready, protos, _ = initialize(encoder, unlabeled, config)
+        shapes = []
+
+        def counting_perturb(batch, *args):
+            shapes.append(np.shape(batch))
+            return perturb(batch, *args)
+
+        monkeypatch.setattr(trainer, "perturb", counting_perturb)
+        train(ready, protos, unlabeled, config)
+        calls = 5 if variant == "pi" else 0
+        assert shapes == [unlabeled.values.shape] * calls
 
     def test_pi_consistency_positive_with_noise(self):
         encoder, unlabeled, _ = small_problem(seed=12)
@@ -309,6 +322,19 @@ class TestVariants:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParameterError):
             TrainConfig(k=3, variant="mixup")
+
+    @pytest.mark.parametrize("name,value", [
+        ("perturb_sigma", -1.0), ("perturb_sigma", float("nan")),
+        ("ema_momentum", -0.1), ("ema_momentum", 1.0), ("ema_momentum", 1.5),
+    ])
+    def test_out_of_range_regularizer_setting_rejected(self, name, value):
+        """Rejected for every variant, including those that do not use it."""
+        with pytest.raises(ParameterError):
+            TrainConfig(k=3, **{name: value})
+
+    def test_regularizer_settings_at_their_bounds_accepted(self):
+        config = TrainConfig(k=3, perturb_sigma=0.0, ema_momentum=0.0)
+        assert (config.perturb_sigma, config.ema_momentum) == (0.0, 0.0)
 
 
 class TestRecovery:
