@@ -187,12 +187,12 @@ class TestCluster:
                    "--warmup", 1, "--epochs", 1, "--out-dir", tmp_path / "x") == 1
         assert "total_ramp_steps must be positive" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize("flags", [("--variant", "baseline", "--sigma", -1),
-                                       ("--variant", "te", "--ema-momentum", 1.5)],
-                             ids=["sigma-negative", "momentum-above-one"])
+    @pytest.mark.parametrize("flags,message", [
+        (("--variant", "baseline", "--sigma", -1), "perturb sigma must be non-negative"),
+        (("--variant", "te", "--ema-momentum", 1.5), "ema momentum must be in [0, 1)"),
+    ], ids=["sigma-negative", "momentum-above-one"])
     def test_regularizer_setting_out_of_range_is_usage_error(
-            self, synth_dir, encoder_path, tmp_path, capsys, monkeypatch, flags):
+            self, synth_dir, encoder_path, tmp_path, capsys, monkeypatch, flags, message):
         """Rejected with the training config, before any initialization work."""
         def no_initialize(*args):
             raise AssertionError("initialize ran")
@@ -202,7 +202,7 @@ class TestCluster:
         assert run("cluster", "--encoder", encoder_path,
                    "--data", synth_dir / "unlabeled.csv", "--k", 3, *flags,
                    "--out-dir", out) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert message in capsys.readouterr().err
         assert not (out / "cluster.manifest").exists()
 
 
