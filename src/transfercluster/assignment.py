@@ -66,8 +66,10 @@ def _kernel(sq: np.ndarray) -> np.ndarray:
     For a finite ``sq`` every weight is at least 1/DBL_MAX > 0, so no row
     sums to zero.
     """
-    weights = 1.0 / (1.0 + sq)
-    return weights / weights.sum(axis=1, keepdims=True)
+    weights = 1.0 + sq
+    np.divide(1.0, weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
 
 
 def soft_assign(embeddings, protos: Prototypes) -> np.ndarray:
@@ -116,7 +118,10 @@ def kl_loss(q: np.ndarray, p: np.ndarray) -> float:
 
 def _kl_dlogw(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """dKL(q || p) / dlog w, with the targets q held constant."""
-    return -(q - p) / p.shape[0]
+    dlogw = q - p
+    np.negative(dlogw, out=dlogw)
+    dlogw /= p.shape[0]
+    return dlogw
 
 
 def _assign_dlogw(p: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
@@ -132,10 +137,17 @@ def _vjp(z: np.ndarray, centers: np.ndarray, sq: np.ndarray, dlogw: np.ndarray):
 
     ``sq`` holds the kernel's squared distances.  log w = -log(1 + sq),
     so d sq = dlogw * -1 / (1 + sq), and d sq / d z_i = 2 (z_i - mu_k)
-    sums over k to ``dsq.sum(1) * z - dsq @ centers``.
+    sums over k to ``dsq.sum(1) * z - dsq @ centers``.  ``dsq`` is built in
+    ``dlogw``'s buffer, so ``dlogw`` is overwritten: pass an array that is
+    not needed afterwards.
     """
-    dsq = dlogw * (-1.0 / (1.0 + sq))
-    grad_z = 2.0 * (dsq.sum(axis=1)[:, None] * z - dsq @ centers)
+    scale = 1.0 + sq
+    np.divide(-1.0, scale, out=scale)
+    dsq = np.multiply(dlogw, scale, out=dlogw)
+    del scale   # free it before the (N, c) products are built
+    grad_z = dsq.sum(axis=1)[:, None] * z
+    grad_z -= dsq @ centers
+    grad_z *= 2.0
     grad_centers = -2.0 * (dsq.T @ z - dsq.sum(axis=0)[:, None] * centers)
     return grad_z, grad_centers
 

@@ -10,6 +10,7 @@ and ``sweep``.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,39 +135,43 @@ def _estimate(ns, encoder, data):
     )
 
 
-def _run_cluster(encoder, data, ns, k):
-    config = TrainConfig(
+def _train_config(ns, k):
+    return TrainConfig(
         k=k, variant=ns.variant, warmup_epochs=ns.warmup, main_epochs=ns.epochs,
         batch_size=ns.batch_size, learning_rate=ns.lr, ema_momentum=ns.ema_momentum,
         ramp=RampSchedule(ns.ramp) if ns.ramp is not None else None,
         perturb_sigma=ns.sigma, seed=ns.seed, bottleneck_dim=ns.bottleneck,
     )
+
+
+def _run_cluster(encoder, data, config):
     ready, protos, _ = initialize(encoder, data, config)
-    trace = train(ready, protos, data, config)
-    return config, trace
+    return train(ready, protos, data, config)
 
 
 def cmd_cluster(ns, argv):
     if ns.auto_k and not ns.probe:
         raise ParameterError("--auto-k needs --probe")
+    # The training settings are checked before any work; --auto-k sets k
+    # once the count estimate is known.
+    config = _train_config(ns, 2 if ns.auto_k else ns.k)
     encoder = load_encoder(ns.encoder)
     data = load_features(ns.data, ns.format)
     out = _out_dir(ns)
     inputs = {"encoder": ns.encoder, "data": ns.data}
     outputs = {}
-    k = ns.k
-    if k is None:
+    if ns.auto_k:
         report = _estimate(ns, encoder, data)
         sweep_path = out / "auto_k_sweep.csv"
         sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
         print(f"estimated k_final={report.k_final} (k_hat={report.k_hat})")
         outputs["auto_k_sweep"] = sweep_path
         inputs["probe"] = ns.probe
-        k = report.k_final
-        if k < 2:
-            raise DataError(f"estimated k_final={k} (k_hat={report.k_hat}); "
+        if report.k_final < 2:
+            raise DataError(f"estimated k_final={report.k_final} (k_hat={report.k_hat}); "
                             "clustering needs at least 2 clusters")
-    _, trace = _run_cluster(encoder, data, ns, k)
+        config = replace(config, k=report.k_final)
+    trace = _run_cluster(encoder, data, config)
 
     assignments_path = out / "assignments.csv"
     _write_rows(assignments_path, "id,cluster", zip(data.ids, trace.assignments.tolist()))
@@ -266,7 +271,7 @@ def cmd_sweep(ns, argv):
         else:
             point.bottleneck = None
             k = value
-        _, trace = _run_cluster(encoder, data, point, k)
+        trace = _run_cluster(encoder, data, _train_config(point, k))
         report = evaluate_clustering(truth, trace.assignments)
         return value, report.acc, report.nmi
 

@@ -4,15 +4,21 @@
 bits: use it where distances feed further arithmetic (assignment
 kernels, gradients, silhouette means).  It works in the row blocks that
 :func:`row_blocks` yields, of at most :data:`BLOCK_ELEMENTS` values
-each, so it never holds the whole (n, k, c) tensor.  :func:`expanded`
-needs only a matrix product, but cancellation makes small distances
-inexact: use it only to rank or sample by distance (k-means assignment
-and seeding).
+each, so it never holds the whole (n, k, c) tensor, and each block stays
+in a core's L2 cache while it is reduced.  :func:`expanded` needs only a
+matrix product, but cancellation makes small distances inexact: use it
+only to rank or sample by distance (k-means assignment and seeding).
 """
 
 import numpy as np
 
-BLOCK_ELEMENTS = 1 << 22   # float64 elements in one working block (32 MiB)
+# float64 elements in one working block (512 KiB, a quarter of a 2 MiB L2).
+# On one thread of a 2-core Xeon with 2 MiB of L2 per core, the best of 15
+# soft_assign passes of 10 000 x 40 rows against 40 centers took
+# 66 / 44 / 36 / 32 / 30 / 43 / 40 ms at 2^22 / 2^20 / 2^18 / 2^17 / 2^16 /
+# 2^15 / 2^14, and the silhouettes of 1 000 x 64 rows under 21 labellings
+# took 397 ms at 2^22 and 136 ms at 2^16.
+BLOCK_ELEMENTS = 1 << 16
 
 
 def row_blocks(n: int, width: int):
@@ -39,6 +45,14 @@ def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def expanded(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray) -> np.ndarray:
-    """``|a|^2 + |b|^2 - 2 a.b`` clamped at 0, with ``a_sq`` holding ``|a|^2``."""
+    """``|a|^2 + |b|^2 - 2 a.b`` clamped at 0, with ``a_sq`` holding ``|a|^2``.
+
+    Two (n, k) arrays are allocated; the arithmetic and its order are those
+    of ``np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)``.
+    """
     b_sq = np.einsum("kc,kc->k", b, b)
-    return np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
+    ab = a @ b.T
+    ab *= 2.0
+    out = np.add.outer(a_sq, b_sq)
+    out -= ab
+    return np.maximum(out, 0.0, out=out)

@@ -115,18 +115,20 @@ def _plusplus_init(x, x_sq, n_new, rng, existing):
 
 def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     n = x.shape[0]
+    rows = np.arange(n)
     history = []
+    onehot = np.zeros((n, k))
     for iterations in range(1, MAX_ITER + 1):
         d2 = distances.expanded(x, centers, x_sq)
         labels = d2.argmin(axis=1)
         labels[anchor_rows] = anchor_cluster
-        own = d2[np.arange(n), labels]
+        own = d2[rows, labels]
         history.append(float(own.sum()))
 
         counts = np.bincount(labels, minlength=k)
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), labels] = 1.0
+        onehot[rows, labels] = 1.0
         sums = onehot.T @ x
+        onehot[rows, labels] = 0.0
         new_centers = np.where(counts[:, None] > 0,
                                sums / np.maximum(counts, 1)[:, None], centers)
         # Empty clusters reseed at the free point farthest from its center.
@@ -142,9 +144,11 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
         centers = new_centers
         if shift < TOL:
             break
-    # Final assignment consistent with the returned centers.
-    labels = distances.expanded(x, centers, x_sq).argmin(axis=1)
-    labels[anchor_rows] = anchor_cluster
+    # Final assignment consistent with the returned centers.  Centers that
+    # did not move give the last iteration's labels again.
+    if shift != 0.0:
+        labels = distances.expanded(x, centers, x_sq).argmin(axis=1)
+        labels[anchor_rows] = anchor_cluster
     return KmeansResult(centers, labels, _exact_inertia(x, centers, labels),
                         iterations, history)
 

@@ -122,10 +122,12 @@ def silhouettes(x, labellings) -> list[float]:
     ``np.add.reduceat``, give each chunk row's summed distance to every
     cluster.  The sums go through no matrix product, so their bits do
     not depend on the BLAS thread count.  Chunks are the
-    :func:`distances.row_blocks` of the (N, N, c) differences.  Inputs
-    are not validated: ``x`` is a float (N, c) array and every labelling
-    has one label per row and at least 2 clusters, as :func:`silhouette`
-    checks.
+    :func:`distances.row_blocks` of the (N, N) distance matrix, so each
+    (rows, N) chunk holds at most ``distances.BLOCK_ELEMENTS`` values,
+    and :func:`distances.exact` builds its differences in sub-blocks of
+    the same budget.  Inputs are not validated: ``x`` is a float (N, c)
+    array and every labelling has one label per row and at least 2
+    clusters, as :func:`silhouette` checks.
     """
     n = x.shape[0]
     coded = [np.unique(labels, return_inverse=True)[1] for labels in labellings]
@@ -134,7 +136,7 @@ def silhouettes(x, labellings) -> list[float]:
     orders = [np.argsort(idx, kind="stable") for idx in coded]
     starts = [np.cumsum(c) - c for c in counts]
     scores = np.zeros((len(coded), n))
-    for rows in distances.row_blocks(n, n * x.shape[1]):
+    for rows in distances.row_blocks(n, n):
         dist = np.sqrt(distances.exact(x[rows], x))
         for i, (order, first) in enumerate(zip(orders, starts)):
             sums = np.add.reduceat(dist[:, order], first, axis=1)

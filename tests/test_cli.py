@@ -137,6 +137,21 @@ class TestCluster:
         assert (out / "auto_k_sweep.csv").exists()
         assert not (out / "assignments.csv").exists()
 
+    def test_auto_k_checks_training_settings_before_the_estimate(
+            self, synth_dir, encoder_path, tmp_path, capsys, monkeypatch):
+        """A bad training setting exits 1 before the count sweep runs."""
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the count estimate ran")
+
+        monkeypatch.setattr(cli, "estimate_class_count", no_estimate)
+        out = tmp_path / "run"
+        assert run("cluster", "--encoder", encoder_path,
+                   "--data", synth_dir / "unlabeled.csv", "--auto-k",
+                   "--probe", synth_dir / "labeled.csv", "--k-max", 5,
+                   "--variant", "te", "--ema-momentum", 1.5, "--out-dir", out) == 1
+        assert "ema momentum must be in [0, 1)" in capsys.readouterr().err
+        assert not (out / "auto_k_sweep.csv").exists()
+
     def test_k_or_auto_k_required(self, synth_dir, encoder_path, tmp_path):
         assert run("cluster", "--encoder", encoder_path,
                    "--data", synth_dir / "unlabeled.csv",

@@ -1,11 +1,16 @@
 """Tests for seeded k-means and the anchored variant."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from transfercluster import distances
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, ParameterError
 from transfercluster.kmeans import AnchorConstraints, _lloyd, constrained_kmeans, kmeans
+
+KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
 from transfercluster.metrics import clustering_accuracy
 
 NO_ANCHORS = AnchorConstraints(np.empty(0, dtype=int), np.empty(0, dtype=int))
@@ -162,3 +167,62 @@ class TestConstrainedKmeans:
         b = constrained_kmeans(x, 3, constraints, seed=13)
         np.testing.assert_array_equal(a.centers, b.centers)
         np.testing.assert_array_equal(a.assignment, b.assignment)
+
+
+def _pinned_argmin(x, centers, anchor_rows, anchor_cluster):
+    labels = distances.expanded(x, centers, np.einsum("nc,nc->n", x, x)).argmin(axis=1)
+    labels[anchor_rows] = anchor_cluster
+    return labels
+
+
+class TestFinalAssignment:
+    """The returned assignment is the pinned argmin of the returned centers,
+    whether the last pass is reused (shift 0) or recomputed."""
+
+    def test_converged_run_reuses_its_last_pass(self, monkeypatch):
+        _, unlabeled, _ = synth_mixture(1, 3, 40, 6, 8.0, seed=3)
+        x = unlabeled.values
+        anchor_rows, anchor_cluster = np.array([0, 1]), np.array([0, 0])
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return expanded(*args)
+
+        expanded = distances.expanded
+        monkeypatch.setattr(distances, "expanded", counted)
+        result = _lloyd(x, np.einsum("nc,nc->n", x, x), x[[0, 50, 100]], anchor_rows,
+                        anchor_cluster, np.arange(2, x.shape[0]), 3)
+        monkeypatch.undo()
+        # Converged with shift 0: one pass per iteration and no final one.
+        assert result.iterations < KMEANS.MAX_ITER and len(calls) == result.iterations
+        np.testing.assert_array_equal(
+            result.assignment, _pinned_argmin(x, result.centers, anchor_rows, anchor_cluster))
+
+    @pytest.mark.parametrize("tol", [KMEANS.TOL, np.inf], ids=["converged", "one-iteration"])
+    def test_public_runs(self, monkeypatch, tol):
+        """With an infinite tolerance every restart stops after one moving
+        iteration, so the final pass is recomputed."""
+        monkeypatch.setattr(KMEANS, "TOL", tol)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(90, 3))
+        constraints = AnchorConstraints(np.arange(6), np.repeat([0, 1], 3))
+        plain = kmeans(x, 4, seed=2)
+        np.testing.assert_array_equal(
+            plain.assignment, _pinned_argmin(x, plain.centers, [], []))
+        anchored = constrained_kmeans(x, 5, constraints, seed=2)
+        np.testing.assert_array_equal(
+            anchored.assignment,
+            _pinned_argmin(x, anchored.centers, constraints.anchor_rows,
+                           constraints.anchor_cluster))
+
+    def test_run_through_empty_cluster_repair(self):
+        x = np.array([[0, 0], [0, 12], [8, 0], [8, 12],
+                      [4, 6], [4, 6], [4, 2], [4, 10]], dtype=float)
+        anchor_rows, anchor_cluster = np.arange(4), np.array([0, 0, 1, 1])
+        start = np.array([[0, 6], [8, 6], [4, 6], [4, 2], [40, 40]], dtype=float)
+        result = _lloyd(x, np.einsum("nc,nc->n", x, x), start, anchor_rows,
+                        anchor_cluster, np.arange(4, 8), 5)
+        np.testing.assert_array_equal(result.centers[4], x[7])   # repaired
+        np.testing.assert_array_equal(
+            result.assignment, _pinned_argmin(x, result.centers, anchor_rows, anchor_cluster))

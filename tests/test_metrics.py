@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +169,29 @@ class TestSilhouette:
         with_singleton[17] = 9
         labellings += [with_singleton, rng.integers(0, 2, size=n)]
         # 120 rows a chunk: the pass takes five chunks, the last one short.
-        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 120 * n * 2)
+        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 120 * n)
         assert silhouettes(x, labellings) == [silhouette(x, l) for l in labellings]
+
+    def test_shared_pass_holds_one_difference_block(self):
+        """21 labellings of 1 000 rows in 64 columns: the peak is one
+        difference block, three (rows, N) distance chunks (the previous
+        chunk, the new one and its square root) and three (L, N) arrays
+        (coded labels, sort orders and scores).  That is less than the
+        (N, N) distance matrix the pass never holds whole."""
+        rng = np.random.default_rng(7)
+        n, c = 1000, 64
+        x = rng.normal(size=(n, c))
+        labellings = [rng.integers(0, k, size=n) for k in range(2, 23)]
+        rows = max(1, distances.BLOCK_ELEMENTS // n)
+        tracemalloc.start()
+        try:
+            silhouettes(x, labellings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (distances.BLOCK_ELEMENTS * 8 + 3 * rows * n * 8
+                        + 3 * len(labellings) * n * 8)
+        assert peak < n * n * 8
 
     def test_shared_pass_is_independent_of_blas_threads(self):
         """The per-cluster sums go through no matrix product, so 1 and 2
