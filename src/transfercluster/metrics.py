@@ -9,7 +9,6 @@ unmatched clusters count as errors.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import distances
 from .errors import ParameterError
@@ -47,21 +46,91 @@ def clustering_accuracy(truth, predicted):
     """Fraction of rows correct under the best cluster-to-class matching.
 
     Returns ``(acc, matching)`` where matching maps cluster labels to
-    class labels, injectively.  Ties between equally good matchings
-    resolve toward the lowest cluster and class indices.
+    class labels, injectively, and pairs ``min(clusters, classes)`` of
+    them.  Among such matchings it has the largest matched count; among
+    those, the side with labels left over (clusters or classes) matches
+    the set with the smallest index sum, where indices are positions in
+    the sorted labels; a tie left after that is decided by the order of
+    :func:`_max_weight_matching`.
     """
     truth, predicted = _check_pair(truth, predicted)
     table, clusters, classes = _contingency(truth, predicted)
     n_r, n_c = table.shape
-    # Integer weights: counts dominate; the additive term prefers
-    # low-index pairs among equal-weight matchings.
+    # Integer weights: counts dominate; the additive term sums to a
+    # constant minus the index sum of the side with labels left over.
     span = n_r * n_c
     weight = table * (span + 1)
     tie = (span - 1 - (np.arange(n_r)[:, None] * n_c + np.arange(n_c)[None, :]))
-    rows, cols = linear_sum_assignment(weight + tie, maximize=True)
+    rows, cols = _max_weight_matching(weight + tie)
     matched = int(table[rows, cols].sum())
     matching = {clusters[r].item(): classes[c].item() for r, c in zip(rows, cols)}
     return matched / truth.size, matching
+
+
+def _max_weight_matching(weight):
+    """``(rows, cols)`` of a maximum-weight matching of ``min(n_r, n_c)``
+    pairs in a non-empty (n_r, n_c) integer table, sorted by row.
+
+    Shortest augmenting paths (Jonker & Volgenant 1987) in the
+    rectangular form and scan order of Crouse (2016), as scipy's
+    ``linear_sum_assignment`` runs them, so ties go the same way: costs
+    are the negated weights, transposed to have no more rows than
+    columns; rows augment in index order; each path search scans the
+    unvisited columns, initially ``n_c - 1 .. 0``, and removes the column
+    it takes by swapping in the last one; among columns tied at the least
+    path cost it takes the last free one, else the first.  The weights
+    are integers far below 2**53, so every path cost and dual is an exact
+    float64 integer and the ties compare exactly.
+    """
+    cost = -np.asarray(weight, dtype=np.float64)
+    transpose = cost.shape[0] > cost.shape[1]
+    if transpose:
+        cost = cost.T
+    n_r, n_c = cost.shape
+    u, v = np.zeros(n_r), np.zeros(n_c)
+    col4row = np.full(n_r, -1)
+    row4col = np.full(n_c, -1)
+    path = np.full(n_c, -1)
+    for cur in range(n_r):
+        shortest = np.full(n_c, np.inf)
+        remaining = np.arange(n_c - 1, -1, -1)
+        n_left = n_c
+        i, low, sink = cur, 0.0, -1
+        while sink < 0:
+            left = remaining[:n_left]
+            reduced = low + cost[i, left] - u[i] - v[left]
+            better = reduced < shortest[left]
+            path[left[better]] = i
+            shortest[left[better]] = reduced[better]
+            costs = shortest[left]
+            low = costs.min()
+            tied = np.flatnonzero(costs == low)
+            free = tied[row4col[left[tied]] < 0]
+            index = free[-1] if free.size else tied[0]
+            j = left[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            n_left -= 1
+            remaining[index], remaining[n_left] = remaining[n_left], j
+        # remaining[n_left:] holds the columns the search reached, the
+        # sink first; the other ones lead to the rows it visited.
+        reached = remaining[n_left:]
+        u[cur] += low
+        u[row4col[reached[1:]]] += low - shortest[reached[1:]]
+        v[reached] -= low - shortest[reached]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n_r), col4row
 
 
 def nmi(truth, predicted) -> float:
@@ -137,10 +206,12 @@ def silhouettes(x, labellings) -> list[float]:
     starts = [np.cumsum(c) - c for c in counts]
     scores = np.zeros((len(coded), n))
     for rows in distances.row_blocks(n, n):
-        dist = np.sqrt(distances.exact(x[rows], x))
+        dist = distances.exact(x[rows], x)
+        np.sqrt(dist, out=dist)
         for i, (order, first) in enumerate(zip(orders, starts)):
             sums = np.add.reduceat(dist[:, order], first, axis=1)
             scores[i, rows] = _row_scores(sums, coded[i][rows], counts[i])
+        del dist   # free this chunk before the next one is built
     return [float(row.mean()) for row in scores]
 
 

@@ -1,5 +1,7 @@
 """Every module under src/transfercluster uses each name it imports, and
 every private module-level function or class is used somewhere in it.
+Importing the package and its CLI loads no scipy module: numpy is the
+only runtime dependency.
 
 There is no linter in the toolchain, so these standard-library checks
 guard against imports and helpers left behind when code moves.
@@ -9,6 +11,9 @@ helper, so a helper kept alive only by its tests is reported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +75,15 @@ def test_detects_unreferenced_private_names():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_private(sources) == []
+
+
+def test_package_and_cli_load_no_scipy():
+    script = (
+        "import sys\n"
+        "import transfercluster, transfercluster.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ import pytest
 from transfercluster import distances
 from transfercluster.errors import ParameterError
 from transfercluster.metrics import (
+    _max_weight_matching,
     clustering_accuracy,
     count_error,
     evaluate_clustering,
@@ -30,6 +31,15 @@ def permutation_accuracy(truth, predicted):
         mapping = dict(zip(labels, perm))
         best = max(best, sum(1 for t, p in zip(truth, predicted) if mapping[p] == t))
     return best / len(truth)
+
+
+def table_labels(table):
+    """(truth, predicted) whose contingency table is ``table``: cluster i
+    and class j label ``table[i][j]`` rows.  No row or column may be 0."""
+    table = np.asarray(table)
+    clusters, classes = np.nonzero(table)
+    counts = table[clusters, classes]
+    return np.repeat(classes, counts), np.repeat(clusters, counts)
 
 
 def direct_silhouette(x, labels):
@@ -105,6 +115,70 @@ class TestClusteringAccuracy:
         with pytest.raises(ParameterError):
             clustering_accuracy([0, 1], [0, 1, 2])
 
+    @pytest.mark.parametrize("table, expected", [
+        # Both pairings match 5 rows; the solver's order picks the
+        # off-diagonal one, not the lowest indices.
+        ([[1, 2], [3, 4]], {0: 1, 1: 0}),
+        ([[1, 1], [1, 1]], {0: 0, 1: 1}),
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], {0: 0, 1: 1, 2: 2}),
+        # Clusters or classes left over: the matched set has the least index sum.
+        ([[2], [2], [2]], {0: 0}),
+        ([[2, 2, 2]], {0: 0}),
+        ([[1, 1], [1, 1], [1, 1]], {0: 0, 1: 1}),
+        ([[2, 0, 2], [0, 2, 0]], {0: 0, 1: 1}),
+        # The count comes first: only clusters 1 and 3 match 4 rows.
+        ([[1, 0], [2, 2], [0, 1], [2, 2]], {1: 0, 3: 1}),
+    ], ids=lambda v: str(v).replace(" ", ""))
+    def test_tie_rule_on_hand_made_tables(self, table, expected):
+        truth, predicted = table_labels(table)
+        acc, matching = clustering_accuracy(truth, predicted)
+        assert matching == expected
+        assert acc * truth.size == pytest.approx(
+            sum(table[c][k] for c, k in expected.items()))
+
+    @pytest.mark.parametrize("weight, rows, cols", [
+        # Columns are scanned from the last; among tied free ones the
+        # last scanned wins, so column 0 here.
+        ([[0, 0]], [0], [0]),
+        # Row 1 displaces row 0 from column 2; taking column 2 swaps
+        # column 0 into its place, so the scan is 0, 1 and row 0 gets 1.
+        ([[0, 0, 1], [0, 0, 1]], [0, 1], [2, 1]),
+        ([[0, 0, 0], [0, 0, 0], [1, 1, 0]], [0, 1, 2], [0, 2, 1]),
+        ([[1, 0], [1, 0], [0, 0]], [0, 1], [0, 1]),
+    ], ids=lambda v: str(v).replace(" ", ""))
+    def test_solver_scan_order_on_tied_weights(self, weight, rows, cols):
+        """Raw weights with many ties, where only the scan order decides."""
+        got = _max_weight_matching(np.array(weight))
+        assert [got[0].tolist(), got[1].tolist()] == [rows, cols]
+
+    def test_tie_rule_against_brute_force(self):
+        """Random tables up to 6 x 6: the matching pairs min(rows, columns)
+        labels, its count is the largest over all such matchings, and among
+        those the side with labels left over matches the least index sum."""
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n_r, n_c = (int(v) for v in rng.integers(1, 7, size=2))
+            table = rng.integers(0, 3, size=(n_r, n_c)) * rng.integers(0, 2, size=(n_r, n_c))
+            table[np.arange(n_r), rng.integers(0, n_c, size=n_r)] += 1
+            table[rng.integers(0, n_r, size=n_c), np.arange(n_c)] += 1
+            truth, predicted = table_labels(table)
+            _, matching = clustering_accuracy(truth, predicted)
+            # Every matching of size min(n_r, n_c) as (count, leftover-side index sum).
+            if n_r <= n_c:
+                options = [(table[np.arange(n_r), cols].sum(), sum(cols))
+                           for cols in itertools.permutations(range(n_c), n_r)]
+                index_sum = sum(matching.values())
+            else:
+                options = [(table[rows, np.arange(n_c)].sum(), sum(rows))
+                           for rows in itertools.permutations(range(n_r), n_c)]
+                index_sum = sum(matching)
+            best = max(count for count, _ in options)
+            least = min(total for count, total in options if count == best)
+            assert len(matching) == min(n_r, n_c)
+            assert len(set(matching.values())) == len(matching)
+            assert sum(table[r, c] for r, c in matching.items()) == best
+            assert index_sum == least
+
 
 class TestNmi:
     def test_identical_partitions(self):
@@ -174,10 +248,10 @@ class TestSilhouette:
 
     def test_shared_pass_holds_one_difference_block(self):
         """21 labellings of 1 000 rows in 64 columns: the peak is one
-        difference block, three (rows, N) distance chunks (the previous
-        chunk, the new one and its square root) and three (L, N) arrays
-        (coded labels, sort orders and scores).  That is less than the
-        (N, N) distance matrix the pass never holds whole."""
+        difference block, two (rows, N) distance chunks (the chunk, rooted
+        in place, and one labelling's gather of its columns) and three
+        (L, N) arrays (coded labels, sort orders and scores).  That is less
+        than the (N, N) distance matrix the pass never holds whole."""
         rng = np.random.default_rng(7)
         n, c = 1000, 64
         x = rng.normal(size=(n, c))
@@ -189,7 +263,7 @@ class TestSilhouette:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (distances.BLOCK_ELEMENTS * 8 + 3 * rows * n * 8
+        assert peak <= (distances.BLOCK_ELEMENTS * 8 + 2 * rows * n * 8
                         + 3 * len(labellings) * n * 8)
         assert peak < n * n * 8
 
