@@ -42,7 +42,7 @@ from .encoder import (
 )
 from .errors import DataError, DegenerateClusterError, NumericalError, ParameterError
 from .estimator import EstimationReport, SweepPoint, estimate_class_count, sweep_report_to_csv
-from .kmeans import AnchorConstraints, KmeansResult, constrained_kmeans, kmeans
+from .kmeans import KmeansResult, constrained_kmeans, kmeans
 from .metrics import (
     EvalReport,
     clustering_accuracy,

@@ -406,6 +406,11 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # A manifest records one argument per line, so it could not replay this.
+    for arg in argv:
+        if "\n" in arg or "\r" in arg:
+            print(f"error: argument {arg!r} contains a line break", file=sys.stderr)
+            return 1
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

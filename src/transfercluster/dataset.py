@@ -158,7 +158,8 @@ def _load_csv(path):
         raise DataError(f"{path}: empty file")
     dim, has_labels = _parse_header(lines[0])
     width = 1 + dim + (1 if has_labels else 0)
-    ids, rows, labels = [], [], []
+    values = np.empty((len(lines) - 1, dim))
+    ids, labels = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -167,12 +168,12 @@ def _load_csv(path):
             raise DataError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(parts)}"
             )
-        ids.append(parts[0])
         try:
-            row = [float(tok) for tok in parts[1 : 1 + dim]]
+            # numpy parses each token as float() does, without a float object.
+            values[len(ids)] = parts[1 : 1 + dim]
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
-        rows.append(row)
+        ids.append(parts[0])
         if has_labels:
             try:
                 labels.append(int(parts[-1]))
@@ -180,9 +181,9 @@ def _load_csv(path):
                 raise DataError(
                     f"{path}: line {lineno}: label '{parts[-1]}' is not an integer"
                 ) from None
-    if not rows:
+    if not ids:
         raise DataError(f"{path}: no rows")
-    return rows, ids, (np.array(labels) if has_labels else None)
+    return values[: len(ids)], ids, (np.array(labels) if has_labels else None)
 
 
 def _load_binary(path):

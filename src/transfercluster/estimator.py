@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import LabeledSet, ProbeSplit, as_values
 from .errors import ParameterError
-from .kmeans import AnchorConstraints, constrained_kmeans
+from .kmeans import constrained_kmeans
 from .metrics import clustering_accuracy, silhouettes
 from .seeding import derive_seed
 
@@ -103,37 +103,33 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
     x_unlabeled = as_values(unlabeled)
 
     anchor_classes = sorted(split.anchor_classes)
-    validation_classes = sorted(split.validation_classes)
-    class_to_anchor = {c: j for j, c in enumerate(anchor_classes)}
-    probe_mask = np.isin(probe.labels, sorted(split.probe_classes))
-    probe_rows = np.nonzero(probe_mask)[0]
-    if not np.isin(probe.labels, validation_classes).any():
+    probe_rows = np.flatnonzero(np.isin(probe.labels, sorted(split.probe_classes)))
+    probe_y = probe.labels[probe_rows]
+    is_anchor = np.isin(probe_y, anchor_classes)
+    val_rows = np.flatnonzero(~is_anchor)
+    if val_rows.size == 0:
         raise ParameterError("validation probe set is empty")
     for c in anchor_classes:
-        if not (probe.labels == c).any():
+        if not (probe_y == c).any():
             raise ParameterError(f"anchor class {c} has no probe rows")
 
     probe_x = probe.features.values[probe_rows]
-    probe_y = probe.labels[probe_rows]
     if probe_x.shape[1] != x_unlabeled.shape[1]:
         raise ParameterError(
             f"probe dim {probe_x.shape[1]} does not match unlabelled dim {x_unlabeled.shape[1]}"
         )
     stacked = np.vstack([probe_x, x_unlabeled])
     n_probe = probe_x.shape[0]
-    n_probe_classes = len(anchor_classes) + len(validation_classes)
+    n_probe_classes = len(split.probe_classes)
 
-    anchor_local = np.nonzero(np.isin(probe_y, anchor_classes))[0]
-    anchors = AnchorConstraints(
-        anchor_local,
-        np.array([class_to_anchor[int(c)] for c in probe_y[anchor_local]], dtype=np.int64),
-    )
-    val_rows = np.nonzero(np.isin(probe_y, validation_classes))[0]
+    # Anchor rows keep their class's cluster, numbered in sorted class order.
+    pinned = np.full(stacked.shape[0], -1)
+    pinned[:n_probe][is_anchor] = np.searchsorted(anchor_classes, probe_y[is_anchor])
     val_labels = probe_y[val_rows]
     unlabeled_slice = slice(n_probe, n_probe + x_unlabeled.shape[0])
 
     def run(k):
-        result = constrained_kmeans(stacked, n_probe_classes + k, anchors,
+        result = constrained_kmeans(stacked, n_probe_classes + k, pinned,
                                     seed=derive_seed(seed, "sweep", k))
         acc, _ = clustering_accuracy(val_labels, result.assignment[val_rows])
         return acc, result

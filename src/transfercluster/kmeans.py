@@ -2,9 +2,10 @@
 
 Both run the same Lloyd engine: k-means++ seeding, squared-Euclidean
 assignment, mean updates, and empty-cluster repair by reseeding at the
-point farthest from its own center.  The anchored variant pins chosen
-rows to fixed clusters throughout; those rows never change cluster but
-still pull on their cluster's centroid.
+point farthest from its own center.  The anchored variant takes one
+integer per row, ``pinned``: a row's fixed cluster, or -1 for a free
+row.  Pinned rows never change cluster but still pull on their
+cluster's centroid; plain k-means is the case with every row at -1.
 
 Each call runs ``N_INIT`` independent seedings of at most ``MAX_ITER``
 Lloyd iterations, stopping once no center moves by ``TOL`` or more, and
@@ -41,45 +42,6 @@ class KmeansResult:
     inertia: float
     iterations: int
     inertia_history: list[float] = field(default_factory=list)
-
-
-@dataclass
-class AnchorConstraints:
-    """Rows pinned to fixed cluster ids.
-
-    Anchor cluster ids must form the contiguous range 0..A-1 and each
-    must own at least one anchor row; free clusters take the remaining
-    ids A..k-1.
-    """
-
-    anchor_rows: np.ndarray
-    anchor_cluster: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.anchor_rows, dtype=np.int64)
-        clusters = np.asarray(self.anchor_cluster, dtype=np.int64)
-        if rows.ndim != 1 or rows.shape != clusters.shape:
-            raise ParameterError("anchor_rows and anchor_cluster must be 1-D and equal length")
-        if rows.size and len(np.unique(rows)) != rows.size:
-            raise ParameterError("anchor rows must be distinct")
-        self.anchor_rows = rows
-        self.anchor_cluster = clusters
-
-    @property
-    def n_anchor_clusters(self) -> int:
-        return int(self.anchor_cluster.max()) + 1 if self.anchor_cluster.size else 0
-
-    def validate_against(self, n_rows: int, k: int) -> None:
-        if self.anchor_rows.size == 0:
-            return
-        if self.anchor_rows.min() < 0 or self.anchor_rows.max() >= n_rows:
-            raise ParameterError("anchor rows outside the data")
-        if self.anchor_cluster.min() < 0 or self.anchor_cluster.max() >= k:
-            raise ParameterError("anchor cluster index outside 0..k-1")
-        present = set(self.anchor_cluster.tolist())
-        for c in range(self.n_anchor_clusters):
-            if c not in present:
-                raise DataError(f"anchor cluster {c} has no anchor rows")
 
 
 def _exact_inertia(x, centers, labels):
@@ -153,15 +115,16 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
                         iterations, history)
 
 
-def constrained_kmeans(data, k: int, constraints: AnchorConstraints,
-                       seed: int = 0) -> KmeansResult:
-    """Lloyd's algorithm with anchor rows pinned to fixed clusters.
+def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
+    """Lloyd's algorithm with some rows pinned to fixed clusters.
 
-    Anchor clusters start at the mean of their anchor rows; free
-    clusters are seeded by k-means++ over the non-anchor rows (with the
-    anchor centers already in the D^2 pool).  With no anchors this is
-    exactly :func:`kmeans` and produces bit-identical results for the
-    same seed.
+    ``pinned`` holds one integer per row: the row's fixed cluster, or -1
+    for a free row.  The pinned ids must cover 0..A-1, each with at least
+    one row; free clusters take the remaining ids A..k-1.  Anchor
+    clusters start at the mean of their pinned rows; free clusters are
+    seeded by k-means++ over the free rows (with the anchor centers
+    already in the D^2 pool).  With every row free this is exactly
+    :func:`kmeans` and produces bit-identical results for the same seed.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -169,20 +132,23 @@ def constrained_kmeans(data, k: int, constraints: AnchorConstraints,
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    constraints.validate_against(n, k)
-    n_anchor_clusters = constraints.n_anchor_clusters
-    if k < n_anchor_clusters:
-        raise ParameterError(
-            f"k = {k} is below the {n_anchor_clusters} distinct anchor clusters"
-        )
+    pinned = np.asarray(pinned, dtype=np.int64)
+    if pinned.shape != (n,):
+        raise ParameterError(f"pinned must have shape ({n},), got {pinned.shape}")
+    if pinned.min() < -1 or pinned.max() >= k:
+        raise ParameterError(f"pinned cluster ids must lie in -1..{k - 1}")
 
+    anchor_rows = np.flatnonzero(pinned >= 0)
+    anchor_cluster = pinned[anchor_rows]
+    free_idx = np.flatnonzero(pinned < 0)
+    n_anchor_clusters = int(anchor_cluster.max()) + 1 if anchor_rows.size else 0
     anchor_centers = np.empty((n_anchor_clusters, x.shape[1]))
     for c in range(n_anchor_clusters):
-        anchor_centers[c] = x[constraints.anchor_rows[constraints.anchor_cluster == c]].mean(axis=0)
-    free_mask = np.ones(n, dtype=bool)
-    free_mask[constraints.anchor_rows] = False
-    free_idx = np.nonzero(free_mask)[0]
-    free_x = x[free_mask]
+        members = anchor_rows[anchor_cluster == c]
+        if members.size == 0:
+            raise DataError(f"anchor cluster {c} has no anchor rows")
+        anchor_centers[c] = x[members].mean(axis=0)
+    free_x = x[free_idx]
     n_free_clusters = k - n_anchor_clusters
     if n_free_clusters > free_x.shape[0]:
         raise ParameterError(
@@ -196,13 +162,13 @@ def constrained_kmeans(data, k: int, constraints: AnchorConstraints,
         rng = rng_for(seed, "kmeans", run)
         free_centers = _plusplus_init(free_x, free_sq, n_free_clusters, rng, anchor_centers)
         result = _lloyd(x, x_sq, np.vstack([anchor_centers, free_centers]),
-                        constraints.anchor_rows, constraints.anchor_cluster, free_idx, k)
+                        anchor_rows, anchor_cluster, free_idx, k)
         if best is None or result.inertia < best.inertia:
             best = result
     return best
 
 
 def kmeans(data, k: int, seed: int = 0) -> KmeansResult:
-    """Plain seeded k-means with k-means++ initialization."""
-    empty = AnchorConstraints(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    return constrained_kmeans(data, k, empty, seed=seed)
+    """Plain seeded k-means with k-means++ initialization: every row free."""
+    x = np.asarray(data, dtype=np.float64)
+    return constrained_kmeans(x, k, np.full(x.shape[:1], -1), seed=seed)

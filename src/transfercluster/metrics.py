@@ -141,6 +141,10 @@ def nmi(truth, predicted) -> float:
     """
     truth, predicted = _check_pair(truth, predicted)
     table, _, _ = _contingency(truth, predicted)
+    if table.shape == (1, 1):
+        return 1.0
+    if 1 in table.shape:
+        return 0.0
     n = truth.size
     joint = table / n
     p_cluster = joint.sum(axis=1)
@@ -152,10 +156,6 @@ def nmi(truth, predicted) -> float:
 
     h_cluster = entropy(p_cluster)
     h_class = entropy(p_class)
-    if h_cluster == 0.0 and h_class == 0.0:
-        return 1.0
-    if h_cluster == 0.0 or h_class == 0.0:
-        return 0.0
     nz = joint > 0
     outer = p_cluster[:, None] * p_class[None, :]
     info = float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())

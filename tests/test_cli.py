@@ -363,6 +363,19 @@ class TestManifests:
         assert run("rerun", manifest) == 2
         assert f"error: {manifest}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    @pytest.mark.parametrize("where", ["out-dir", "flag-value"])
+    def test_line_break_in_argument_is_usage_error(self, tmp_path, capsys, brk, where):
+        """A manifest holds one argument per line, so an argument with a line
+        break is refused before anything is written."""
+        out = tmp_path / f"x{brk}y" if where == "out-dir" else tmp_path / "out"
+        seed = "5" if where == "out-dir" else f"5{brk}"
+        assert run("synth", "--labeled-classes", 2, "--unlabeled-classes", 2,
+                   "--per-class", 10, "--dim", 4, "--sep", 6, "--seed", seed,
+                   "--out-dir", out) == 1
+        assert "line break" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_records_inputs_and_outputs(self, synth_dir):
         record = read_manifest(synth_dir / "synth.manifest")
         assert record["command"] == "synth"

@@ -1,5 +1,8 @@
 """Tests for dataset loading, formats, probe splits, and synthesis."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,19 @@ class TestCsvFormat:
         with pytest.raises(DataError, match="line 3"):
             load_features(path, "csv")
 
+    def test_bad_token_reports_line_and_token(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,f0,f1\na,1.0,2.0\n\nb,1.0,0x10\n")
+        with pytest.raises(DataError, match="line 4: could not convert string to float: '0x10'"):
+            load_features(path, "csv")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,f0\na,1_0\n \nb,-2.5e-3\n\n")
+        fm = load_features(path, "csv")
+        assert fm.ids == ("a", "b")
+        np.testing.assert_array_equal(fm.values, [[10.0], [-2.5e-3]])
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         fm = FeatureMatrix(rng.normal(size=(20, 5)), tuple(f"r{i}" for i in range(20)))
@@ -71,6 +87,27 @@ class TestCsvFormat:
         save_features(path, fm, "csv", labels=labels)
         back = load_labeled(path, "csv")
         np.testing.assert_array_equal(back.labels, labels)
+
+    def test_load_peaks_within_text_lines_and_two_arrays(self, tmp_path):
+        """Loading holds no Python float per value: the traced peak stays
+        within the file's text, its line list and two (N, d) arrays."""
+        n, d = 3000, 32
+        rng = np.random.default_rng(3)
+        path = tmp_path / "f.csv"
+        save_features(path, FeatureMatrix(rng.normal(size=(n, d)),
+                                          tuple(f"r{i}" for i in range(n))), "csv")
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        budget = (sys.getsizeof(text) + sys.getsizeof(lines)
+                  + sum(sys.getsizeof(line) for line in lines) + 2 * n * d * 8)
+        del text, lines
+        tracemalloc.start()
+        try:
+            load_features(path, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_sparse_label_values_get_compacted(self, tmp_path):
         path = tmp_path / "f.csv"

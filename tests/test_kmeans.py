@@ -8,12 +8,17 @@ import pytest
 from transfercluster import distances
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, ParameterError
-from transfercluster.kmeans import AnchorConstraints, _lloyd, constrained_kmeans, kmeans
+from transfercluster.kmeans import _lloyd, constrained_kmeans, kmeans
 
 KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
 from transfercluster.metrics import clustering_accuracy
 
-NO_ANCHORS = AnchorConstraints(np.empty(0, dtype=int), np.empty(0, dtype=int))
+
+def pins(n, anchor_rows, anchor_cluster):
+    """A pin array for ``n`` rows: ``anchor_cluster`` at ``anchor_rows``, -1 elsewhere."""
+    pinned = np.full(n, -1)
+    pinned[anchor_rows] = anchor_cluster
+    return pinned
 
 
 class TestKmeans:
@@ -82,8 +87,7 @@ class TestConstrainedKmeans:
     def test_all_rows_anchored(self):
         rng = np.random.default_rng(5)
         x = np.vstack([rng.normal(size=(10, 2)), rng.normal(size=(10, 2)) + 6])
-        constraints = AnchorConstraints(np.arange(20), np.repeat([0, 1], 10))
-        result = constrained_kmeans(x, 2, constraints, seed=0)
+        result = constrained_kmeans(x, 2, np.repeat([0, 1], 10), seed=0)
         np.testing.assert_allclose(result.centers[0], x[:10].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(result.centers[1], x[10:].mean(axis=0), atol=1e-12)
         assert result.iterations == 1
@@ -95,7 +99,7 @@ class TestConstrainedKmeans:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(40, 3))
         plain = kmeans(x, 3, seed=9)
-        constrained = constrained_kmeans(x, 3, NO_ANCHORS, seed=9)
+        constrained = constrained_kmeans(x, 3, np.full(40, -1), seed=9)
         np.testing.assert_array_equal(plain.centers, constrained.centers)
         np.testing.assert_array_equal(plain.assignment, constrained.assignment)
         assert plain.inertia == constrained.inertia
@@ -105,36 +109,65 @@ class TestConstrainedKmeans:
         x = rng.normal(size=(50, 2))
         anchor_rows = np.array([0, 1, 2, 3, 48, 49])
         anchor_cluster = np.array([0, 0, 1, 1, 0, 1])
-        constraints = AnchorConstraints(anchor_rows, anchor_cluster)
-        result = constrained_kmeans(x, 4, constraints, seed=1)
+        result = constrained_kmeans(x, 4, pins(50, anchor_rows, anchor_cluster), seed=1)
         np.testing.assert_array_equal(result.assignment[anchor_rows], anchor_cluster)
 
     def test_free_clusters_recover_structure(self):
         """Anchored probe classes plus two free blobs: free blobs recovered."""
         labeled, unlabeled, truth = synth_mixture(2, 2, 50, 12, 8.0, seed=42)
         x = np.vstack([labeled.features.values, unlabeled.values])
-        anchor_rows = np.arange(100)
-        constraints = AnchorConstraints(anchor_rows, labeled.labels)
-        result = constrained_kmeans(x, 4, constraints, seed=2)
+        pinned = pins(x.shape[0], np.arange(100), labeled.labels)
+        result = constrained_kmeans(x, 4, pinned, seed=2)
         acc, _ = clustering_accuracy(truth, result.assignment[100:])
         assert acc == 1.0
 
     def test_missing_anchor_cluster_rejected(self):
-        constraints = AnchorConstraints(np.array([0, 1]), np.array([0, 2]))
         with pytest.raises(DataError, match="anchor cluster 1"):
-            constrained_kmeans(np.zeros((5, 2)), 3, constraints, seed=0)
+            constrained_kmeans(np.zeros((5, 2)), 3, [0, 2, -1, -1, -1], seed=0)
 
     def test_k_below_anchor_clusters_rejected(self):
-        constraints = AnchorConstraints(np.array([0, 1, 2]), np.array([0, 1, 2]))
-        with pytest.raises(ParameterError):
+        """A pinned id of k or more is outside the clusters."""
+        with pytest.raises(ParameterError, match=r"-1\.\.1"):
             constrained_kmeans(np.random.default_rng(0).normal(size=(6, 2)), 2,
-                               constraints, seed=0)
+                               [0, 1, 2, -1, -1, -1], seed=0)
+
+    def test_pin_below_minus_one_rejected(self):
+        with pytest.raises(ParameterError, match=r"-1\.\.2"):
+            constrained_kmeans(np.random.default_rng(0).normal(size=(6, 2)), 3,
+                               [0, -2, -1, -1, -1, -1], seed=0)
+
+    @pytest.mark.parametrize("pinned", [np.full(5, -1), np.full(7, -1), np.full((6, 1), -1)],
+                             ids=["short", "long", "2-D"])
+    def test_pin_array_of_wrong_shape_rejected(self, pinned):
+        with pytest.raises(ParameterError, match=r"shape \(6,\)"):
+            constrained_kmeans(np.random.default_rng(0).normal(size=(6, 2)), 2, pinned, seed=0)
+
+    def test_pinned_rows_never_change_cluster_in_any_restart(self, monkeypatch):
+        """Every restart of every seed, not only the kept one, returns each
+        pinned row in its own cluster."""
+        lloyd_results = []
+
+        def recorded(*args):
+            lloyd_results.append(_lloyd(*args))
+            return lloyd_results[-1]
+
+        monkeypatch.setattr(KMEANS, "_lloyd", recorded)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(60, 2))
+        for seed in range(5):
+            pinned = np.full(60, -1)
+            rows = rng.choice(60, size=12, replace=False)
+            pinned[rows] = np.arange(12) % 3
+            lloyd_results.clear()
+            result = constrained_kmeans(x, 6, pinned, seed=seed)
+            assert len(lloyd_results) == KMEANS.N_INIT
+            for fit in lloyd_results + [result]:
+                np.testing.assert_array_equal(fit.assignment[rows], pinned[rows])
 
     def test_inertia_monotone_with_anchors(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(80, 3))
-        constraints = AnchorConstraints(np.arange(10), np.repeat([0, 1], 5))
-        result = constrained_kmeans(x, 5, constraints, seed=4)
+        result = constrained_kmeans(x, 5, pins(80, np.arange(10), np.repeat([0, 1], 5)), seed=4)
         assert (np.diff(np.array(result.inertia_history)) <= 1e-7).all()
 
     def test_empty_cluster_repair_keeps_anchors(self):
@@ -162,9 +195,9 @@ class TestConstrainedKmeans:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 2))
-        constraints = AnchorConstraints(np.array([0, 5]), np.array([0, 1]))
-        a = constrained_kmeans(x, 3, constraints, seed=13)
-        b = constrained_kmeans(x, 3, constraints, seed=13)
+        pinned = pins(30, [0, 5], [0, 1])
+        a = constrained_kmeans(x, 3, pinned, seed=13)
+        b = constrained_kmeans(x, 3, pinned, seed=13)
         np.testing.assert_array_equal(a.centers, b.centers)
         np.testing.assert_array_equal(a.assignment, b.assignment)
 
@@ -206,15 +239,14 @@ class TestFinalAssignment:
         monkeypatch.setattr(KMEANS, "TOL", tol)
         rng = np.random.default_rng(10)
         x = rng.normal(size=(90, 3))
-        constraints = AnchorConstraints(np.arange(6), np.repeat([0, 1], 3))
+        anchor_rows, anchor_cluster = np.arange(6), np.repeat([0, 1], 3)
         plain = kmeans(x, 4, seed=2)
         np.testing.assert_array_equal(
             plain.assignment, _pinned_argmin(x, plain.centers, [], []))
-        anchored = constrained_kmeans(x, 5, constraints, seed=2)
+        anchored = constrained_kmeans(x, 5, pins(90, anchor_rows, anchor_cluster), seed=2)
         np.testing.assert_array_equal(
             anchored.assignment,
-            _pinned_argmin(x, anchored.centers, constraints.anchor_rows,
-                           constraints.anchor_cluster))
+            _pinned_argmin(x, anchored.centers, anchor_rows, anchor_cluster))
 
     def test_run_through_empty_cluster_repair(self):
         x = np.array([[0, 0], [0, 12], [8, 0], [8, 12],

@@ -204,6 +204,15 @@ class TestNmi:
         assert nmi([0, 0, 0], [1, 1, 1]) == 1.0
         assert nmi([0, 0, 0], [0, 1, 2]) == 0.0
 
+    @pytest.mark.parametrize("n, labels", [(13, 4), (7, 3)])
+    def test_one_single_label_side_is_exactly_zero(self, n, labels):
+        """The single label's probabilities sum to 1 only up to rounding, so
+        its computed entropy is not exactly 0; the single-label case must
+        not depend on it."""
+        spread, single = np.arange(n) % labels, np.zeros(n)
+        assert nmi(spread, single) == 0.0
+        assert nmi(single, spread) == 0.0
+
 
 class TestSilhouette:
     def test_two_tight_far_clusters(self):

@@ -15,8 +15,13 @@ each one runs all its pairs before the next starts.
 The script prints one line per pair with both sides' end-to-end metrics
 and failed/attempted counts.  Then, per metric, it prints each side's
 median and quartiles, the parent's interquartile range, and how many
-pairs the change won; ties count for neither side.  Which direction is
-better comes from ``BENCHMARK.json`` in CHANGE_DIR.  With ``--json``,
+pairs the change won; ties count for neither side.  Each metric's
+direction and ``bound`` come from ``BENCHMARK.json`` in CHANGE_DIR, and
+two flags are raised against the bound: "worse beyond bound" when the
+change's median is worse than the parent's by more than bound x the
+parent's median, and "unresolved" when the parent's interquartile range
+exceeds bound x its median, so the runs spread too widely to tell.
+With ``--json``,
 the same record is also written to PATH as one JSON object: both
 sides' commits and environment lines (as ``perfbench/run.py`` prints
 them), and per workload every pair and every metric's summary.  The
@@ -32,6 +37,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SIDES = ("parent", "change")
 
 
 def _parse(argv):
@@ -79,12 +86,39 @@ def _quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def _directions(change: Path) -> dict:
+def _end_to_end(change: Path) -> dict:
+    """Each end-to-end metric's ``BENCHMARK.json`` entry, by name."""
     spec = json.loads((change / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
-def run_pairs(args, workload: str, directions: dict):
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per metric: each side's quartiles, the pairs the change won and the
+    two bound flags.  ``pairs`` holds one ``{"parent": {...}, "change": {...}}``
+    value record per pair; ``metrics`` is :func:`_end_to_end`'s mapping."""
+    summary = {}
+    for name, spec in metrics.items():
+        values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
+        sign = 1 if spec["better"] == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        (p1, pm, p3), (c1, cm, c3) = (_quartiles(values[s]) for s in SIDES)
+        allowed = spec["bound"] * abs(pm)
+        summary[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+                         "parent": {"q1": p1, "median": pm, "q3": p3},
+                         "change": {"q1": c1, "median": cm, "q3": c3},
+                         "change_won": wins,
+                         "worse_beyond_bound": sign * (cm - pm) > allowed,
+                         "unresolved": p3 - p1 > allowed}
+    return summary
+
+
+def _flags(entry: dict) -> str:
+    flags = [text for key, text in (("worse_beyond_bound", "worse beyond bound"),
+                                    ("unresolved", "unresolved")) if entry[key]]
+    return "; " + ", ".join(flags) if flags else ""
+
+
+def run_pairs(args, workload: str, metrics: dict):
     """Run and print one workload's pairs and summary.
 
     Returns the workload's record and each side's first environment line.
@@ -97,32 +131,26 @@ def run_pairs(args, workload: str, directions: dict):
         for side in order:
             result = run_once(sides[side], workload, seed, args.seconds)
             environment.setdefault(side, result["environment"])
-            units = {name: result["metrics"][name]["unit"] for name in directions}
-            runs[side] = {**{name: result["metrics"][name]["value"] for name in directions},
+            runs[side] = {**{name: result["metrics"][name]["value"] for name in metrics},
                           "failed": result["failed"], "attempted": result["attempted"]}
-        pairs.append({"seed": seed, "first": order[0], **{side: runs[side] for side in sides}})
+        pairs.append({"seed": seed, "first": order[0], **{side: runs[side] for side in SIDES}})
         shown = "  ".join(
-            f"{side}: " + " ".join(f"{name}={runs[side][name]:.4g}" for name in directions)
+            f"{side}: " + " ".join(f"{name}={runs[side][name]:.4g}" for name in metrics)
             + f" failed={runs[side]['failed']}/{runs[side]['attempted']}"
-            for side in sides)
+            for side in SIDES)
         print(f"pair {i + 1} seed {seed} first={order[0]}  {shown}", flush=True)
 
     print(f"{workload}: {len(args.seeds)} pairs, --seconds {args.seconds:g}")
-    summary = {}
-    for name, better in directions.items():
-        values = {side: [pair[side][name] for pair in pairs] for side in sides}
-        sign = 1 if better == "lower" else -1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-        (p1, pm, p3), (c1, cm, c3) = (_quartiles(values[s]) for s in ("parent", "change"))
-        print(f"  {name} ({units[name]}, {better} is better): parent median {pm:.4g} "
-              f"[{p1:.4g}, {p3:.4g}], change median {cm:.4g} [{c1:.4g}, {c3:.4g}], "
+    summary = summarize(pairs, metrics)
+    for name, entry in summary.items():
+        (p1, pm, p3), (c1, cm, c3) = (
+            (entry[s]["q1"], entry[s]["median"], entry[s]["q3"]) for s in SIDES)
+        print(f"  {name} ({entry['unit']}, {entry['better']} is better, bound "
+              f"{entry['bound']:.0%}): parent median {pm:.4g} [{p1:.4g}, {p3:.4g}], "
+              f"change median {cm:.4g} [{c1:.4g}, {c3:.4g}], "
               f"median change {(cm - pm) / pm:+.1%}, parent IQR {p3 - p1:.4g}, "
-              f"change won {wins}/{len(args.seeds)}")
-        summary[name] = {"unit": units[name], "better": better,
-                         "parent": {"q1": p1, "median": pm, "q3": p3},
-                         "change": {"q1": c1, "median": cm, "q3": c3},
-                         "change_won": wins}
-    for side in sides:
+              f"change won {entry['change_won']}/{len(args.seeds)}{_flags(entry)}")
+    for side in SIDES:
         failed = sum(pair[side]["failed"] for pair in pairs)
         attempted = sum(pair[side]["attempted"] for pair in pairs)
         print(f"  {side} failed {failed}/{attempted} operations")
@@ -131,11 +159,11 @@ def run_pairs(args, workload: str, directions: dict):
 
 def main(argv) -> int:
     args = _parse(argv)
-    directions = _directions(args.change)
+    metrics = _end_to_end(args.change)
     records = {}
     for workload in args.workloads:
         try:
-            records[workload], environment = run_pairs(args, workload, directions)
+            records[workload], environment = run_pairs(args, workload, metrics)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
