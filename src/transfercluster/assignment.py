@@ -17,8 +17,11 @@ unnormalised weights, ``dlogw``: the KL term gives ``-(q - p)/n`` and an
 upstream gradient g on p gives ``p * (g - (g*p).sum(1))``.  A training
 step adds both terms and chains once.  The chain needs only the squared
 distances, the embeddings and the centers, not the (N, K, c) difference
-tensor, so the public gradient functions run in bounded memory like
-:func:`soft_assign`.
+tensor.
+
+Every kernel takes its squared distances from :func:`_squared_distances`,
+one (N, c) x (c, K) matrix product.  Its inner dimension is c, so its
+bits do not depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass
@@ -60,26 +63,52 @@ def _check_embeddings(embeddings, protos: Prototypes) -> np.ndarray:
     return z
 
 
+def _squared_distances(z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances for the kernel, from one matrix product.
+
+    Each is within (c + 2) eps (|z_i|^2 + |mu_k|^2) of the exact value
+    (see :mod:`distances`) while that sum stays below half the largest
+    double.  Beyond it the product form overflows: an infinite |mu_k|^2
+    against a finite 2 z_i.mu_k gives inf, and an infinite |z_i|^2
+    against an infinite 2 z_i.mu_k gives inf - inf = NaN.  :func:`_kernel`
+    handles both, so the overflow warnings are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return distances.expanded(z, centers, np.einsum("nc,nc->n", z, z))
+
+
 def _kernel(sq: np.ndarray) -> np.ndarray:
     """Row-normalised Student's-t weights of the squared distances ``sq``.
 
-    For a finite ``sq`` every weight is at least 1/DBL_MAX > 0, so no row
-    sums to zero.
+    A finite ``sq`` weighs at least 1/DBL_MAX > 0 and an infinite one 0.
+    A row whose weights are all 0 (every squared distance overflowed) or
+    hold a NaN has no distribution, and raises :class:`NumericalError`.
     """
     weights = 1.0 + sq
     np.divide(1.0, weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
+    total = weights.sum(axis=1, keepdims=True)
+    empty = ~(total[:, 0] > 0.0)
+    if empty.any():
+        raise NumericalError(
+            f"row {int(empty.argmax())}: its squared distances to every prototype "
+            "overflow or are NaN"
+        )
+    weights /= total
     return weights
 
 
 def soft_assign(embeddings, protos: Prototypes) -> np.ndarray:
     """Row-stochastic (N, K) matrix of Student's-t assignment probabilities.
 
-    Every row sums to one and every entry is positive for finite squared
-    distances.
+    The squared distances come from one matrix product (see
+    :func:`_squared_distances`).  While |z_i|^2 + |mu_k|^2 stays below
+    half the largest double, as it does for coordinates up to 1e150, every
+    entry is positive.  A prototype whose squared distance overflows gets
+    weight 0, so it holds no mass.  A row whose distances to every
+    prototype overflow, or come out NaN, raises :class:`NumericalError`.
     """
     z = _check_embeddings(embeddings, protos)
-    return _kernel(distances.exact(z, protos.centers))
+    return _kernel(_squared_distances(z, protos.centers))
 
 
 def target_distribution(p: np.ndarray) -> np.ndarray:
@@ -164,7 +193,7 @@ def kl_loss_gradients(embeddings, protos: Prototypes, q: np.ndarray):
         raise ParameterError(
             f"q shape {q.shape} does not match ({z.shape[0]}, {protos.n_clusters})"
         )
-    sq = distances.exact(z, protos.centers)
+    sq = _squared_distances(z, protos.centers)
     return _vjp(z, protos.centers, sq, _kl_dlogw(q, _kernel(sq)))
 
 
@@ -181,7 +210,7 @@ def soft_assign_grads(embeddings, protos: Prototypes, grad_p: np.ndarray):
             f"grad_p shape {grad_p.shape} does not match "
             f"({z.shape[0]}, {protos.n_clusters})"
         )
-    sq = distances.exact(z, protos.centers)
+    sq = _squared_distances(z, protos.centers)
     return _vjp(z, protos.centers, sq, _assign_dlogw(_kernel(sq), grad_p))
 
 

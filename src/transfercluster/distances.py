@@ -1,20 +1,47 @@
 """Squared Euclidean distances between the rows of two matrices.
 
-:func:`exact` builds explicit differences and is accurate to the last
-bits: use it where distances feed further arithmetic (assignment
-kernels, gradients, silhouette means).  It works in the row blocks that
-:func:`row_blocks` yields, of at most :data:`BLOCK_ELEMENTS` values
-each, so it never holds the whole (n, k, c) tensor, and each block stays
-in a core's L2 cache while it is reduced.  :func:`expanded` needs only a
-matrix product, but cancellation makes small distances inexact: use it
-only to rank or sample by distance (k-means assignment and seeding).
+:func:`expanded` needs one matrix product, ``|a|^2 + |b|^2 - 2 a.b``.
+The Student's-t kernel, its gradients and k-means take their distances
+from it.  :func:`exact` builds explicit differences, so it keeps small
+distances to their last bits.  The silhouette means and the trainer's
+reseed use it, in the row blocks that :func:`row_blocks` yields, of at
+most :data:`BLOCK_ELEMENTS` values each.  It never holds the whole
+(n, k, c) tensor, and each block stays in a core's L2 cache while it is
+reduced.
+
+Error of :func:`expanded`, for one pair z, mu of c coordinates.  Let
+P = |z|^2 + |mu|^2, S = |z - mu|^2 (exact), u = eps / 2 the unit
+roundoff, and g = c u / (1 - c u).  Assume no square or product
+underflows, and P at most half the largest double, so nothing
+overflows.  A length-c dot product in any summation order is within
+g * sum_j |x_j y_j| of its value.  So:
+
+* ``|a|^2`` and ``|b|^2`` are within g |z|^2 and g |mu|^2;
+* ``a.b`` is within g sum_j |z_j mu_j| <= g |z| |mu| <= g P / 2, and the
+  factor 2 is exact;
+* adding the two norms rounds once (u (1 + g) P), and the subtraction
+  rounds once more, by u times its operand, which is at most
+  S + (2g + u + u g) P <= (2 + 2g + u + u g) P, because S <= 2P.
+
+In total the unclamped result is within (2g + 3u) P plus terms of
+order u g, which is (c + 3/2) eps P to first order.  For c up to 10^6
+the higher-order terms fit in the rest of
+
+    |expanded - S| <= (c + 2) eps (|z|^2 + |mu|^2),
+
+and the clamp at 0 only moves a result towards S >= 0.  :func:`exact`
+rounds each difference (relative u), squares and sums them (g), so
+|exact - S| <= (c + 3) (eps / 2) S <= (c + 3) eps P.  The two forms
+therefore differ by at most (2c + 5) eps P.  The Student's-t kernel
+takes log w = -log(1 + sq), and d log(1 + sq) / d sq = 1 / (1 + sq) <= 1,
+so the same bounds hold for the change in each log-weight.
 """
 
 import numpy as np
 
 # float64 elements in one working block (512 KiB, a quarter of a 2 MiB L2).
 # On one thread of a 2-core Xeon with 2 MiB of L2 per core, the best of 15
-# soft_assign passes of 10 000 x 40 rows against 40 centers took
+# exact passes of 10 000 x 40 rows against 40 centers took
 # 66 / 44 / 36 / 32 / 30 / 43 / 40 ms at 2^22 / 2^20 / 2^18 / 2^17 / 2^16 /
 # 2^15 / 2^14, and the silhouettes of 1 000 x 64 rows under 21 labellings
 # took 397 ms at 2^22 and 136 ms at 2^16.

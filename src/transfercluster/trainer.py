@@ -39,6 +39,7 @@ from .assignment import (
     _assign_dlogw,
     _kernel,
     _kl_dlogw,
+    _squared_distances,
     _vjp,
     consistency_loss,
     kl_loss,
@@ -55,7 +56,7 @@ from .encoder import (
     forward,
     install_bottleneck,
 )
-from .errors import DegenerateClusterError, NumericalError, ParameterError
+from .errors import DegenerateClusterError, ParameterError
 from .kmeans import kmeans
 from .regularizers import (
     EnsembleState,
@@ -224,13 +225,13 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             rows = order[start : start + batch_size]
             xb = x[rows]
             trace = _forward_trace(enc, xb)
-            sq = distances.exact(trace[0], protos.centers)
+            sq = _squared_distances(trace[0], protos.centers)
             p = _kernel(sq)
             dlogw = _kl_dlogw(q[rows], p)
             if config.variant in ("pi", "te"):
                 if config.variant == "pi":
                     z_prime = _forward_trace(enc, noisy[rows])[0]
-                    p_prime = _kernel(distances.exact(z_prime, protos.centers))
+                    p_prime = _kernel(_squared_distances(z_prime, protos.centers))
                 else:
                     p_prime = ensemble[rows]
                 closs, grad_p = consistency_loss(p, p_prime)
@@ -242,8 +243,6 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
 
         embeddings = forward(enc, x)
         p_full = soft_assign(embeddings, protos)
-        if not np.isfinite(p_full).all():
-            raise NumericalError(f"training diverged at epoch {epoch}")
         if state is not None:
             state = ema_update(state, p_full)
         records.append(EpochRecord(

@@ -1,9 +1,15 @@
 """Tests for the squared-distance forms and the row blocks of the exact one."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transfercluster import distances
+
+EPS = Fraction(2) ** -52
 
 
 @pytest.mark.parametrize("budget", [1 << 22, 4000, 500, 77, 1],
@@ -20,7 +26,6 @@ def test_exact_is_bitwise_independent_of_the_block_budget(monkeypatch, budget):
     assert np.array_equal(distances.exact(a, b), whole)
 
 
-
 def test_expanded_matches_the_one_line_formula_bitwise():
     """Random rows plus exact duplicates, whose distances cancel to within
     rounding of 0 and below it, so the clamp is exercised."""
@@ -32,3 +37,36 @@ def test_expanded_matches_the_one_line_formula_bitwise():
     unclamped = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     assert (unclamped < 0).any()
     assert np.array_equal(distances.expanded(a, b, a_sq), np.maximum(unclamped, 0.0))
+
+
+# Zero, or a magnitude in [1e-100, 1e100]: no square or product underflows
+# or overflows, as the bound in the module docstring assumes.
+COORD = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_expanded_error_is_within_the_derived_bound(data):
+    """|expanded - S| <= (c + 2) eps P and |expanded - exact| <= (2c + 5) eps P
+    per pair, with S = |z - mu|^2 and P = |z|^2 + |mu|^2 in exact rational
+    arithmetic.  Some centers are rows of ``a`` scaled by 1 + f with
+    |f| <= 2^-20 (f = 0 for a duplicate), where the product form cancels."""
+    c = data.draw(st.integers(1, 8), label="c")
+    n = data.draw(st.integers(1, 4), label="n")
+    a = np.array(data.draw(st.lists(COORD, min_size=n * c, max_size=n * c), label="a"))
+    a = a.reshape(n, c)
+    rows = [np.array(data.draw(st.lists(COORD, min_size=c, max_size=c), label="center"))]
+    for i in range(n):
+        f = data.draw(st.one_of(st.just(0.0), st.floats(-2.0 ** -20, 2.0 ** -20)), label="f")
+        rows.append(a[i] * (1.0 + f))
+    b = np.array(rows)
+    product = distances.expanded(a, b, np.einsum("nc,nc->n", a, a))
+    explicit = distances.exact(a, b)
+    for i in range(n):
+        for k in range(len(b)):
+            z = [Fraction(v) for v in a[i]]
+            mu = [Fraction(v) for v in b[k]]
+            exact_sq = sum((x - y) ** 2 for x, y in zip(z, mu))
+            scale = EPS * sum(x * x + y * y for x, y in zip(z, mu))
+            assert abs(Fraction(product[i, k]) - exact_sq) <= (c + 2) * scale
+            assert abs(Fraction(product[i, k]) - Fraction(explicit[i, k])) <= (2 * c + 5) * scale
