@@ -129,7 +129,7 @@ def test_kernel_is_positive_and_stochastic_for_finite_distances(data):
     """With |coordinates| <= 1e150 every squared norm is far below overflow,
     so the kernel never raises, every weight is positive and the KL stays
     finite.  Up to 1e300 it either raises NumericalError or gives finite,
-    row-stochastic assignments, with 0 only where a distance overflowed."""
+    non-negative, row-stochastic assignments."""
     n = data.draw(st.integers(1, 6), label="n")
     k = data.draw(st.integers(1, 5), label="k")
     c = data.draw(st.integers(1, 4), label="c")

@@ -26,6 +26,7 @@ def test_exact_is_bitwise_independent_of_the_block_budget(monkeypatch, budget):
     assert np.array_equal(distances.exact(a, b), whole)
 
 
+
 def test_expanded_matches_the_one_line_formula_bitwise():
     """Random rows plus exact duplicates, whose distances cancel to within
     rounding of 0 and below it, so the clamp is exercised."""
