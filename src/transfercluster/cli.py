@@ -52,31 +52,28 @@ def _write_rows(path, header, rows):
 
 
 def _read_id_value_file(path, column):
-    """Read ``id,<column>`` pairs; feature CSVs with a label column also work."""
+    """Read an ``id,<column>`` file into a dict from id to integer."""
     header, *lines = read_text(path).split("\n")
-    if header == f"id,{column}" or header == "id,label":
-        mapping = {}
-        for lineno, line in enumerate(lines, start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields")
-            if parts[0] in mapping:
-                raise DataError(f"{path}: line {lineno}: repeated id '{parts[0]}'")
-            try:
-                mapping[parts[0]] = int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: '{parts[1]}' is not an integer"
-                ) from None
-        if not mapping:
-            raise DataError(f"{path}: no rows")
-        return mapping
-    if header.startswith("id,f0"):
-        labeled = load_labeled(path, "csv")
-        return {i: int(l) for i, l in zip(labeled.features.ids, labeled.labels)}
-    raise DataError(f"{path}: expected an 'id,{column}' file or a labelled feature CSV")
+    if header != f"id,{column}":
+        raise DataError(f"{path}: expected header 'id,{column}', found '{header}'")
+    mapping = {}
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 2 fields")
+        if parts[0] in mapping:
+            raise DataError(f"{path}: line {lineno}: repeated id '{parts[0]}'")
+        try:
+            mapping[parts[0]] = int(parts[1])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: '{parts[1]}' is not an integer"
+            ) from None
+    if not mapping:
+        raise DataError(f"{path}: no rows")
+    return mapping
 
 
 def _manifest(ns, argv, command, inputs, outputs):

@@ -14,7 +14,7 @@ their index as id.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,23 +106,23 @@ class LabeledSet:
 
 @dataclass(frozen=True)
 class ProbeSplit:
-    """Class-level partition into anchor, validation and training sets."""
+    """Class-level partition of the probe classes into anchor and validation sets.
+
+    Every class outside :attr:`probe_classes` is a training class.
+    """
 
     anchor_classes: frozenset[int]
     validation_classes: frozenset[int]
-    training_classes: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         anchor = frozenset(int(c) for c in self.anchor_classes)
         validation = frozenset(int(c) for c in self.validation_classes)
-        training = frozenset(int(c) for c in self.training_classes)
         if not anchor or not validation:
             raise ParameterError("anchor and validation sets must each be non-empty")
-        if anchor & validation or anchor & training or validation & training:
-            raise ParameterError("probe split sets must be pairwise disjoint")
+        if anchor & validation:
+            raise ParameterError("anchor and validation sets must be disjoint")
         object.__setattr__(self, "anchor_classes", anchor)
         object.__setattr__(self, "validation_classes", validation)
-        object.__setattr__(self, "training_classes", training)
 
     @property
     def probe_classes(self) -> frozenset[int]:
@@ -304,8 +304,7 @@ def split_probes(labeled: LabeledSet, n_probe: int | None, anchor_ratio: float =
     n_anchor = min(max(n_anchor, 1), n_probe - 1)
     anchor = frozenset(int(c) for c in drawn[:n_anchor])
     validation = frozenset(int(c) for c in drawn[n_anchor:])
-    training = frozenset(range(n_classes)) - anchor - validation
-    return ProbeSplit(anchor, validation, training)
+    return ProbeSplit(anchor, validation)
 
 
 def _place_means(n_means, dim, separation, rng):
@@ -348,8 +347,8 @@ def synth_mixture(n_labeled_classes: int, n_unlabeled_classes: int, per_class: i
                         ("per_class", per_class), ("dim", dim)):
         if int(value) < 1:
             raise ParameterError(f"{name} must be at least 1, got {value}")
-    if separation <= 0:
-        raise ParameterError(f"separation must be positive, got {separation}")
+    if not 0.0 < separation < math.inf:
+        raise ParameterError(f"separation must be positive and finite, got {separation}")
     rng = rng_for(seed, "synth-mixture")
     n_total = n_labeled_classes + n_unlabeled_classes
     means = _place_means(n_total, dim, separation, rng)

@@ -12,6 +12,7 @@ trace.  The public :func:`backward` traces the batch itself and gives
 bit-identical gradients.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -68,6 +69,8 @@ class EncoderParams:
                 raise ParameterError(
                     f"bottleneck expects input dim {a.shape[1]}, trunk emits {dim}"
                 )
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ParameterError("bottleneck parameters must be finite")
             self.bottleneck = (a, b)
 
     @property
@@ -249,8 +252,9 @@ class PretrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ParameterError("pretraining needs at least one epoch")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ParameterError(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ParameterError("batch size must be at least 1")
         if any(width < 1 for width in self.hidden):

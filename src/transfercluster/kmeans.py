@@ -13,7 +13,7 @@ keeps the lowest final inertia (first winner on ties), all derived
 deterministically from the seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,17 +31,13 @@ class KmeansResult:
     """A k-means fit.
 
     ``inertia`` is the exact within-cluster sum of squares of the returned
-    centers and assignment.  ``inertia_history`` holds each iteration's
-    objective in the expanded dot-product form that the assignment step
-    computes anyway, so it can differ from the exact value by rounding;
-    it is diagnostic only.
+    centers and assignment.
     """
 
     centers: np.ndarray
     assignment: np.ndarray
     inertia: float
     iterations: int
-    inertia_history: list[float] = field(default_factory=list)
 
 
 def _exact_inertia(x, centers, labels):
@@ -78,14 +74,11 @@ def _plusplus_init(x, x_sq, n_new, rng, existing):
 def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     n = x.shape[0]
     rows = np.arange(n)
-    history = []
     onehot = np.zeros((n, k))
     for iterations in range(1, MAX_ITER + 1):
         d2 = distances.expanded(x, centers, x_sq)
         labels = d2.argmin(axis=1)
         labels[anchor_rows] = anchor_cluster
-        own = d2[rows, labels]
-        history.append(float(own.sum()))
 
         counts = np.bincount(labels, minlength=k)
         onehot[rows, labels] = 1.0
@@ -99,7 +92,7 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
             candidates = free_idx[~repaired[free_idx]]
             if candidates.size == 0:
                 raise ParameterError("not enough free rows to repair empty clusters")
-            pick = candidates[np.argmax(own[candidates])]
+            pick = candidates[np.argmax(d2[candidates, labels[candidates]])]
             new_centers[j] = x[pick]
             repaired[pick] = True
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
@@ -111,8 +104,7 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     if shift != 0.0:
         labels = distances.expanded(x, centers, x_sq).argmin(axis=1)
         labels[anchor_rows] = anchor_cluster
-    return KmeansResult(centers, labels, _exact_inertia(x, centers, labels),
-                        iterations, history)
+    return KmeansResult(centers, labels, _exact_inertia(x, centers, labels), iterations)
 
 
 def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:

@@ -19,7 +19,6 @@ class EvalReport:
     acc: float
     nmi: float
     n_points: int
-    matching: dict
 
 
 def _check_pair(truth, predicted):
@@ -240,5 +239,5 @@ def count_error(k_true: int, k_est: int) -> int:
 
 def evaluate_clustering(truth, predicted) -> EvalReport:
     """Accuracy and NMI for one prediction against ground truth."""
-    acc, matching = clustering_accuracy(truth, predicted)
-    return EvalReport(acc, nmi(truth, predicted), len(np.asarray(truth)), matching)
+    acc, _ = clustering_accuracy(truth, predicted)
+    return EvalReport(acc, nmi(truth, predicted), len(np.asarray(truth)))

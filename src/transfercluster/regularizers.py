@@ -5,6 +5,7 @@ matrices; reading it applies the standard startup-bias correction so a
 constant stream of predictions is returned unchanged at every step.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,8 @@ def perturb(batch, magnitude: float, seed: int, step: int):
     Deterministic given (seed, step); magnitude 0 returns a bitwise copy
     of the input.  Takes and returns an array.
     """
-    if magnitude < 0:
-        raise ParameterError(f"magnitude must be non-negative, got {magnitude}")
+    if not 0.0 <= magnitude < math.inf:
+        raise ParameterError(f"magnitude must be non-negative and finite, got {magnitude}")
     values = as_values(batch)
     if magnitude == 0.0:
         return values.copy()

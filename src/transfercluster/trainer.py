@@ -28,7 +28,7 @@ come from the last epoch's full-set pass, as :func:`predict` would
 compute them.
 """
 
-import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,12 +92,14 @@ class TrainConfig:
             raise ParameterError(f"k must be at least 2, got {self.k}")
         if self.warmup_epochs < 0 or self.main_epochs < 0:
             raise ParameterError("epoch counts must be non-negative")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ParameterError(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ParameterError("batch size must be at least 1")
-        if not self.perturb_sigma >= 0.0:
-            raise ParameterError(f"perturb sigma must be non-negative, got {self.perturb_sigma}")
+        if not 0.0 <= self.perturb_sigma < math.inf:
+            raise ParameterError(
+                f"perturb sigma must be non-negative and finite, got {self.perturb_sigma}")
         if not 0.0 <= self.ema_momentum < 1.0:
             raise ParameterError(f"ema momentum must be in [0, 1), got {self.ema_momentum}")
 
@@ -119,7 +121,6 @@ class EpochRecord:
     consistency_loss: float    # mean of this epoch's per-batch consistency terms
     omega: float
     mass_hist: np.ndarray      # rows per cluster by assignment argmax, end of epoch
-    q_hash: str                # digest of the targets used during this epoch
 
 
 @dataclass
@@ -130,10 +131,6 @@ class TrainTrace:
     encoder: EncoderParams
     warnings: list[str] = field(default_factory=list)
     ensemble: EnsembleState | None = None
-
-
-def _hash_matrix(m: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 
 def initialize(encoder: EncoderParams, unlabeled, config: TrainConfig):
@@ -220,7 +217,6 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
         if config.variant == "pi":
             noisy = perturb(x, config.perturb_sigma, config.seed, epoch)
         cons_total = 0.0
-        q_hash = _hash_matrix(q)
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
             xb = x[rows]
@@ -252,7 +248,6 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
             consistency_loss=cons_total / n_batches,
             omega=omega,
             mass_hist=np.bincount(p_full.argmax(axis=1), minlength=protos.n_clusters),
-            q_hash=q_hash,
         ))
 
         end_of_warmup = epoch == config.warmup_epochs - 1

@@ -429,8 +429,11 @@ class TestErrorPaths:
             files["--truth"] = bad
         elif case.endswith("repeated-id"):
             assert "\nu1,0\n" in truth.read_text()
-            bad.write_text(truth.read_text() + "u1,1\n")
-            files = {"--assignments": truth, "--truth": truth}
+            assignments = tmp_path / "assignments.csv"
+            assignments.write_text(truth.read_text().replace("id,label", "id,cluster", 1))
+            source = assignments if case.startswith("assignments") else truth
+            bad.write_text(source.read_text() + "u1,1\n")
+            files = {"--assignments": assignments, "--truth": truth}
             files["--" + case.split("-")[0]] = bad
             command = ("eval",)
             error = f"error: {bad}: line 77: repeated id 'u1'"
@@ -440,6 +443,44 @@ class TestErrorPaths:
         argv = [token for pair in files.items() for token in pair]
         assert run(*command, *argv, "--out-dir", tmp_path / "x") == 2
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["synth-sep-nan", "synth-sep-inf", "pretrain-lr-nan",
+                                      "pretrain-lr-inf", "cluster-lr-nan", "cluster-lr-inf"])
+    def test_non_finite_setting_is_usage_error(self, synth_dir, encoder_path, tmp_path,
+                                               capsys, case):
+        """A NaN or infinite setting exits 1 before any work or output."""
+        command, flag, value = case.split("-")
+        args = {
+            "synth": ("--labeled-classes", 2, "--unlabeled-classes", 2, "--per-class", 10,
+                      "--dim", 4),
+            "pretrain": ("--labeled", synth_dir / "labeled.csv", "--epochs", 1),
+            "cluster": ("--encoder", encoder_path, "--data", synth_dir / "unlabeled.csv",
+                        "--k", 3, "--warmup", 0, "--epochs", 1),
+        }[command]
+        out = tmp_path / "x"
+        assert run(command, *args, f"--{flag}", value, "--out-dir", out) == 1
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,expected", [("--assignments", "id,cluster"),
+                                               ("--truth", "id,label")])
+    @pytest.mark.parametrize("header", ["swapped", "feature-csv"])
+    def test_id_file_takes_only_its_own_header(self, synth_dir, tmp_path, capsys,
+                                               flag, expected, header):
+        """``--assignments`` takes an id,cluster file and ``--truth`` an
+        id,label file; any other header, such as the other file's or a
+        labelled feature CSV's, exits 2 and names the expected one."""
+        truth = synth_dir / "unlabeled_truth.csv"
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text(truth.read_text().replace("id,label", "id,cluster", 1))
+        files = {"--assignments": assignments, "--truth": truth}
+        if header == "swapped":
+            files[flag] = files["--truth" if flag == "--assignments" else "--assignments"]
+        else:
+            files[flag] = synth_dir / "labeled.csv"
+        argv = [token for pair in files.items() for token in pair]
+        assert run("eval", *argv, "--out-dir", tmp_path / "e") == 2
+        assert f"error: {files[flag]}: expected header '{expected}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--probe", "--data"])
     @pytest.mark.parametrize("defect", ["nan", "repeated-id", "short-row"])

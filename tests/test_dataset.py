@@ -154,10 +154,11 @@ class TestSplitProbes:
         return LabeledSet(features, np.repeat(np.arange(n_classes), per_class))
 
     def test_four_to_one_ratio(self):
-        split = split_probes(self._labeled(10), n_probe=5, anchor_ratio=0.8, seed=3)
+        labeled = self._labeled(10)
+        split = split_probes(labeled, n_probe=5, anchor_ratio=0.8, seed=3)
         assert len(split.anchor_classes) == 4
         assert len(split.validation_classes) == 1
-        assert len(split.training_classes) == 5
+        assert labeled.n_classes - len(split.probe_classes) == 5   # training classes
 
     def test_minimum_sizes(self):
         split = split_probes(self._labeled(3), n_probe=2, anchor_ratio=0.5, seed=0)
@@ -172,10 +173,11 @@ class TestSplitProbes:
         assert a != c or a.probe_classes == c.probe_classes
 
     def test_partition_is_exact(self):
+        labeled = self._labeled(9)
         for seed in range(20):
-            split = split_probes(self._labeled(9), 4, 0.6, seed=seed)
-            union = split.anchor_classes | split.validation_classes | split.training_classes
-            assert union == set(range(9))
+            split = split_probes(labeled, 4, 0.6, seed=seed)
+            assert len(split.probe_classes) == 4
+            assert split.probe_classes <= set(range(labeled.n_classes))
             assert not split.anchor_classes & split.validation_classes
 
     def test_probe_count_bounds(self):
@@ -191,8 +193,7 @@ class TestSplitProbes:
     def test_none_makes_every_class_a_probe(self, n_classes, ratio, n_anchor):
         labeled = self._labeled(n_classes)
         split = split_probes(labeled, None, ratio, seed=7)
-        assert split.probe_classes == set(range(n_classes))
-        assert split.training_classes == frozenset()
+        assert split.probe_classes == set(range(labeled.n_classes))
         assert len(split.anchor_classes) == n_anchor
         assert split_probes(labeled, None, ratio, seed=7) == split
 
@@ -247,7 +248,12 @@ class TestSynthMixture:
         with pytest.raises(ParameterError, match="separation"):
             synth_mixture(40, 40, 2, 1, 50.0, seed=0)
 
+    @pytest.mark.parametrize("separation", [0.0, float("nan"), float("inf")])
+    def test_out_of_range_separation_rejected(self, separation):
+        with pytest.raises(ParameterError, match="separation must be positive and finite"):
+            synth_mixture(2, 2, 5, 3, separation, seed=0)
+
 
 def test_probe_split_validates_disjointness():
     with pytest.raises(ParameterError):
-        ProbeSplit(frozenset({1}), frozenset({1}), frozenset())
+        ProbeSplit(frozenset({1}), frozenset({1}))

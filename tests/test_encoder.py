@@ -334,6 +334,11 @@ class TestPretrain:
         with pytest.raises(ParameterError):
             PretrainConfig(**field)
 
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+    def test_config_rejects_out_of_range_learning_rate(self, value):
+        with pytest.raises(ParameterError, match="learning rate must be positive and finite"):
+            PretrainConfig(learning_rate=value)
+
     def test_deterministic(self):
         labeled, _, _ = synth_mixture(3, 1, 20, 5, 5.0, seed=5)
         a = pretrain_encoder(labeled, PretrainConfig(epochs=5), seed=7)
@@ -374,6 +379,21 @@ class TestCheckpoint:
         blob[TAG_OFFSET] = tag
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match=f"unknown activation tag {tag}"):
+            load_encoder(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_bottleneck_is_data_error(self, tmp_path, value):
+        """A bottleneck with a non-finite value is refused, as a layer with
+        one is: on construction, and when a checkpoint holding it loads."""
+        enc = random_encoder(np.random.default_rng(26))
+        a, b = enc.bottleneck
+        with pytest.raises(ParameterError, match="bottleneck parameters must be finite"):
+            EncoderParams(enc.layers, (a, np.full_like(b, value)), enc.input_dim)
+        path = tmp_path / "enc.dtce"
+        save_encoder(path, enc)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + np.array([value], dtype="<f8").tobytes())   # last of b
+        with pytest.raises(DataError, match="bottleneck parameters must be finite"):
             load_encoder(path)
 
     def test_bad_magic(self, tmp_path):

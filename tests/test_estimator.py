@@ -117,8 +117,9 @@ class TestEstimateClassCount:
             assert (assignment[probe_labels == c] == j).all()
 
     def test_extra_training_classes_are_ignored(self):
+        """Classes outside the probe split (here 3 and 4) take no part."""
         labeled, unlabeled, _, _ = probe_setup(seed=7)
-        split = ProbeSplit(frozenset({0, 1}), frozenset({2}), frozenset({3, 4}))
+        split = ProbeSplit(frozenset({0, 1}), frozenset({2}))
         report = estimate_class_count(labeled, unlabeled, split, k_max=4, seed=7)
         probe_rows = int(np.isin(labeled.labels, [0, 1, 2]).sum())
         assert report.final_assignment.size == probe_rows + unlabeled.n_rows

@@ -14,6 +14,24 @@ KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans 
 from transfercluster.metrics import clustering_accuracy
 
 
+def lloyd_inertias(monkeypatch, fit):
+    """Final inertia of ``fit``'s first restart when capped at 1..29 Lloyd
+    iterations, each time from the same start centers."""
+    starts = []
+
+    def recorded(*args):
+        starts.append(args)
+        return _lloyd(*args)
+
+    monkeypatch.setattr(KMEANS, "_lloyd", recorded)
+    fit()
+    inertias = []
+    for cap in range(1, 30):
+        monkeypatch.setattr(KMEANS, "MAX_ITER", cap)
+        inertias.append(_lloyd(*starts[0]).inertia)
+    return np.array(inertias)
+
+
 def pins(n, anchor_rows, anchor_cluster):
     """A pin array for ``n`` rows: ``anchor_cluster`` at ``anchor_rows``, -1 elsewhere."""
     pinned = np.full(n, -1)
@@ -47,11 +65,10 @@ class TestKmeans:
             hits += acc == 1.0
         assert hits >= 9
 
-    def test_inertia_history_nonincreasing(self):
+    def test_inertia_history_nonincreasing(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(120, 4))
-        result = kmeans(x, 5, seed=7)
-        history = np.array(result.inertia_history)
+        history = lloyd_inertias(monkeypatch, lambda: kmeans(x, 5, seed=7))
         assert (np.diff(history) <= 1e-7).all()
 
     def test_bit_identical_given_seed(self):
@@ -164,11 +181,12 @@ class TestConstrainedKmeans:
             for fit in lloyd_results + [result]:
                 np.testing.assert_array_equal(fit.assignment[rows], pinned[rows])
 
-    def test_inertia_monotone_with_anchors(self):
+    def test_inertia_monotone_with_anchors(self, monkeypatch):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(80, 3))
-        result = constrained_kmeans(x, 5, pins(80, np.arange(10), np.repeat([0, 1], 5)), seed=4)
-        assert (np.diff(np.array(result.inertia_history)) <= 1e-7).all()
+        pinned = pins(80, np.arange(10), np.repeat([0, 1], 5))
+        history = lloyd_inertias(monkeypatch, lambda: constrained_kmeans(x, 5, pinned, seed=4))
+        assert (np.diff(history) <= 1e-7).all()
 
     def test_empty_cluster_repair_keeps_anchors(self):
         """An empty free cluster is reseeded on a free row, never an anchor row.

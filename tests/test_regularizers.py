@@ -117,3 +117,8 @@ class TestPerturb:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ParameterError):
             perturb(np.zeros((1, 1)), -0.1, seed=0, step=0)
+
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ParameterError, match="finite"):
+            perturb(np.zeros((1, 1)), magnitude, seed=0, step=0)
