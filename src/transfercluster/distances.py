@@ -1,13 +1,10 @@
 """Squared Euclidean distances between the rows of two matrices.
 
-:func:`expanded` needs one matrix product, ``|a|^2 + |b|^2 - 2 a.b``.
-The Student's-t kernel, its gradients and k-means take their distances
-from it.  :func:`exact` builds explicit differences, so it keeps small
-distances to their last bits.  The silhouette means and the trainer's
-reseed use it, in the row blocks that :func:`row_blocks` yields, of at
-most :data:`BLOCK_ELEMENTS` values each.  It never holds the whole
-(n, k, c) tensor, and each block stays in a core's L2 cache while it is
-reduced.
+:func:`expanded` takes them from one matrix product,
+``|a|^2 + |b|^2 - 2 a.b``.  The Student's-t kernel, its gradients,
+k-means, the trainer's reseed and the silhouette means all use it.  The
+silhouette works in the row blocks that :func:`row_blocks` yields, so it
+never holds the whole (N, N) matrix.
 
 Error of :func:`expanded`, for one pair z, mu of c coordinates.  Let
 P = |z|^2 + |mu|^2, S = |z - mu|^2 (exact), u = eps / 2 the unit
@@ -29,22 +26,27 @@ the higher-order terms fit in the rest of
 
     |expanded - S| <= (c + 2) eps (|z|^2 + |mu|^2),
 
-and the clamp at 0 only moves a result towards S >= 0.  :func:`exact`
-rounds each difference (relative u), squares and sums them (g), so
-|exact - S| <= (c + 3) (eps / 2) S <= (c + 3) eps P.  The two forms
-therefore differ by at most (2c + 5) eps P.  The Student's-t kernel
-takes log w = -log(1 + sq), and d log(1 + sq) / d sq = 1 / (1 + sq) <= 1,
-so the same bounds hold for the change in each log-weight.
+and the clamp at 0 only moves a result towards S >= 0.  The Student's-t
+kernel takes log w = -log(1 + sq), and d log(1 + sq) / d sq =
+1 / (1 + sq) <= 1, so the same bound holds for the change in each
+log-weight.  The silhouette takes square roots, and |sqrt(a) - sqrt(b)|
+<= sqrt(|a - b|), so each of its distances is within
+
+    sqrt((c + 2) eps P)
+
+of the exact one.  It centres the rows first, so P comes from the
+centred rows and does not grow with an offset that all rows share.
 """
 
 import numpy as np
 
 # float64 elements in one working block (512 KiB, a quarter of a 2 MiB L2).
-# On one thread of a 2-core Xeon with 2 MiB of L2 per core, the best of 15
-# exact passes of 10 000 x 40 rows against 40 centers took
-# 66 / 44 / 36 / 32 / 30 / 43 / 40 ms at 2^22 / 2^20 / 2^18 / 2^17 / 2^16 /
-# 2^15 / 2^14, and the silhouettes of 1 000 x 64 rows under 21 labellings
-# took 397 ms at 2^22 and 136 ms at 2^16.
+# The silhouette sizes its row chunks so that the two (rows, N) arrays of
+# one expanded() call together hold at most this many values.  On one
+# thread of a 2-core Xeon with 2 MiB of L2 per core, the best of 7 such
+# passes over 1 000 x 64 rows under 21 labellings took
+# 128 / 70 / 77 / 97 / 130 ms at 2^20 / 2^18 / 2^17 / 2^16 / 2^15.  The
+# taller chunks are faster but raise the pass's peak memory with them.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -54,21 +56,6 @@ def row_blocks(n: int, width: int):
     rows = max(1, BLOCK_ELEMENTS // max(1, width))
     for start in range(0, n, rows):
         yield slice(start, start + rows)
-
-
-def exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances, built from row blocks of explicit differences.
-
-    Each entry depends only on its own row of differences, so the result
-    has the same bits for any block size.
-    """
-    n, k = a.shape[0], b.shape[0]
-    out = np.empty((n, k), dtype=np.result_type(a, b))
-    for block in row_blocks(n, k * a.shape[1]):
-        diff = a[block, None, :] - b[None, :, :]
-        out[block] = np.einsum("nkc,nkc->nk", diff, diff)
-        del diff   # free this block before the next one is built
-    return out
 
 
 def expanded(a: np.ndarray, b: np.ndarray, a_sq: np.ndarray) -> np.ndarray:

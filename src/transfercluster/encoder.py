@@ -123,9 +123,6 @@ class PcaModel:
     def project(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) @ self.components.T
 
-    def reconstruct(self, projected: np.ndarray) -> np.ndarray:
-        return projected @ self.components + self.mean
-
 
 def _forward_trace(encoder: EncoderParams, x: np.ndarray):
     """Forward pass as ``(output, activations)``.
@@ -307,11 +304,6 @@ def _softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def classifier_logits(encoder: EncoderParams, head_weights, head_bias, batch):
-    """Logits of the temporary classification head over trunk features."""
-    return forward(encoder, as_values(batch)) @ head_weights.T + head_bias
 
 
 def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = None,

@@ -182,20 +182,21 @@ def silhouette(data, predicted) -> float:
 def silhouettes(x, labellings) -> list[float]:
     """Mean silhouette score of each labelling of the same rows of ``x``.
 
-    Each row chunk's distances to every row are computed once, from
-    explicit coordinate differences (numerically exact, unlike the
-    expanded dot-product form), and shared by all labellings.  A
-    labelling sorts its coded labels once (stably); the chunk's columns
-    in that order, summed over each cluster's segment by
-    ``np.add.reduceat``, give each chunk row's summed distance to every
-    cluster.  The sums go through no matrix product, so their bits do
-    not depend on the BLAS thread count.  Chunks are the
-    :func:`distances.row_blocks` of the (N, N) distance matrix, so each
-    (rows, N) chunk holds at most ``distances.BLOCK_ELEMENTS`` values,
-    and :func:`distances.exact` builds its differences in sub-blocks of
-    the same budget.  Inputs are not validated: ``x`` is a float (N, c)
-    array and every labelling has one label per row and at least 2
-    clusters, as :func:`silhouette` checks.
+    The rows are centred once, since the score does not change under
+    translation.  Each row chunk's distances to every row then come from
+    one :func:`distances.expanded` product, with the chunk's self-pairs
+    set to 0 before the square root; :mod:`distances` bounds the error
+    of each root.  The chunk is shared by all labellings.  A labelling
+    sorts its coded labels once (stably); the chunk's columns in that
+    order, summed over each cluster's segment by ``np.add.reduceat``,
+    give each chunk row's summed distance to every cluster.  The product
+    has inner dimension c and the sums go through no matrix product, so
+    the bits do not depend on the BLAS thread count.  Chunks are the
+    :func:`distances.row_blocks` of a (N, 2N) matrix, so the two (rows,
+    N) arrays that :func:`distances.expanded` allocates together hold at
+    most ``distances.BLOCK_ELEMENTS`` values.  Inputs are not validated:
+    ``x`` is a float (N, c) array and every labelling has one label per
+    row and at least 2 clusters, as :func:`silhouette` checks.
     """
     n = x.shape[0]
     coded = [np.unique(labels, return_inverse=True)[1] for labels in labellings]
@@ -203,9 +204,12 @@ def silhouettes(x, labellings) -> list[float]:
     # No coded cluster is empty, so every reduceat segment is non-empty.
     orders = [np.argsort(idx, kind="stable") for idx in coded]
     starts = [np.cumsum(c) - c for c in counts]
+    x = x - x.mean(axis=0)
+    x_sq = np.einsum("nc,nc->n", x, x)
     scores = np.zeros((len(coded), n))
-    for rows in distances.row_blocks(n, n):
-        dist = distances.exact(x[rows], x)
+    for rows in distances.row_blocks(n, 2 * n):
+        dist = distances.expanded(x[rows], x, x_sq[rows])
+        np.fill_diagonal(dist[:, rows], 0.0)
         np.sqrt(dist, out=dist)
         for i, (order, first) in enumerate(zip(orders, starts)):
             sums = np.add.reduceat(dist[:, order], first, axis=1)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import distances
 from .assignment import (
     Prototypes,
     _assign_dlogw,
@@ -172,7 +171,7 @@ def _refresh_targets(source_p, p, protos, embeddings, epoch, warnings):
         if dead.size == 0:
             return target_distribution(source_p), p
         k = int(dead[0])
-        nearest = distances.exact(embeddings, protos.centers).min(axis=1)
+        nearest = _squared_distances(embeddings, protos.centers).min(axis=1)
         protos.centers[k] = embeddings[int(np.argmax(nearest))]
         warnings.append(f"epoch {epoch}: reseeded empty prototype {k}")
         source_p = p = soft_assign(embeddings, protos)

@@ -11,7 +11,6 @@ from transfercluster.encoder import (
     LayerParams,
     PretrainConfig,
     backward,
-    classifier_logits,
     fit_pca,
     forward,
     install_bottleneck,
@@ -203,7 +202,7 @@ class TestPca:
         x = np.outer(t, direction) + np.array([5.0, -3.0, 0.5])
         pca = fit_pca(x, 1)
         assert pca.explained_variance[0] == pytest.approx(np.var(t, ddof=1), rel=1e-10)
-        recon = pca.reconstruct(pca.project(x))
+        recon = pca.project(x) @ pca.components + pca.mean
         assert np.abs(recon - x).max() <= 1e-10
 
     def test_matches_covariance_eigendecomposition(self):
@@ -236,7 +235,7 @@ class TestPca:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(30, 5))
         pca = fit_pca(x, 5)
-        recon = pca.reconstruct(pca.project(x))
+        recon = pca.project(x) @ pca.components + pca.mean
         assert np.abs(recon - x).max() <= 1e-10
 
     def test_sign_convention(self):
@@ -310,8 +309,8 @@ class TestPretrain:
             np.unique(labeled.labels[train_rows], return_inverse=True)[1],
         )
         result = pretrain_classifier(train, seed=1)
-        logits = classifier_logits(result.encoder, result.head_weights,
-                                   result.head_bias, labeled.features.values[test_rows])
+        trunk = forward(result.encoder, labeled.features.values[test_rows])
+        logits = trunk @ result.head_weights.T + result.head_bias
         acc = (logits.argmax(axis=1) == labeled.labels[test_rows]).mean()
         assert acc >= 0.95
 

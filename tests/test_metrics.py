@@ -237,6 +237,16 @@ class TestSilhouette:
                 direct_silhouette(x, labels), abs=1e-10
             )
 
+    def test_offset_shared_by_all_rows_leaves_the_score(self):
+        """The rows are centred before the product form, so its error does
+        not grow with |x|^2: a labelling of x + 1e6 scores as x does."""
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=(60, 8))
+        labels = rng.integers(0, 4, size=60)
+        assert silhouette(x + 1e6, labels) == pytest.approx(
+            direct_silhouette(x, labels), abs=1e-10
+        )
+
     def test_scores_bounded(self):
         rng = np.random.default_rng(47)
         x = rng.normal(size=(30, 2))
@@ -251,16 +261,19 @@ class TestSilhouette:
         with_singleton = rng.integers(0, 5, size=n)
         with_singleton[17] = 9
         labellings += [with_singleton, rng.integers(0, 2, size=n)]
-        # 120 rows a chunk: the pass takes five chunks, the last one short.
-        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 120 * n)
+        # 120 rows a chunk of 2N values: five chunks, the last one short.
+        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 240 * n)
         assert silhouettes(x, labellings) == [silhouette(x, l) for l in labellings]
 
     def test_shared_pass_holds_one_difference_block(self):
-        """21 labellings of 1 000 rows in 64 columns: the peak is one
-        difference block, two (rows, N) distance chunks (the chunk, rooted
-        in place, and one labelling's gather of its columns) and three
-        (L, N) arrays (coded labels, sort orders and scores).  That is less
-        than the (N, N) distance matrix the pass never holds whole."""
+        """21 labellings of 1 000 rows in 64 columns: the peak is one block
+        of BLOCK_ELEMENTS values (the centred (N, c) copy of the rows, which
+        fits in one here), two (rows, N) distance chunks and three (L, N)
+        arrays (coded labels, sort orders and scores).  The chunks are
+        half as tall as the bound allows, since the product's two (rows, N)
+        arrays share one budget; the slack covers its temporaries and one
+        labelling's gather of the chunk's columns.  All of it is less than
+        the (N, N) distance matrix the pass never holds whole."""
         rng = np.random.default_rng(7)
         n, c = 1000, 64
         x = rng.normal(size=(n, c))
@@ -277,8 +290,9 @@ class TestSilhouette:
         assert peak < n * n * 8
 
     def test_shared_pass_is_independent_of_blas_threads(self):
-        """The per-cluster sums go through no matrix product, so 1 and 2
-        BLAS threads give the same bits."""
+        """The distances come from a matrix product with inner dimension
+        c, and the per-cluster sums go through no matrix product, so 1 and
+        2 BLAS threads give the same bits."""
         script = (
             "import numpy as np\n"
             "from transfercluster.metrics import silhouettes\n"

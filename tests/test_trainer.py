@@ -361,13 +361,17 @@ class TestVariants:
 
 class TestRecovery:
     def test_dead_prototype_is_reseeded(self):
-        """A prototype at overflow distance gets zero mass and is recycled;
-        the reported assignments are the reseeded model's predictions, with
-        rows in the recycled cluster."""
+        """A prototype at overflow distance gets zero mass and is recycled
+        onto the row that explicit differences pick: the argmax over rows
+        of the minimum squared distance.  The reported assignments are the
+        reseeded model's predictions, with rows in the recycled cluster."""
         rng = np.random.default_rng(15)
         x = rng.normal(size=(30, 2))
         encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
         centers = np.vstack([x[:3], np.full((1, 2), 1e200)])
+        diff = x[:, None, :] - centers[None, :, :]
+        with np.errstate(over="ignore"):
+            farthest = x[np.argmax((diff * diff).sum(axis=2).min(axis=1))]
         protos = Prototypes(centers)
         for main_epochs in (0, 1):
             config = TrainConfig(k=4, warmup_epochs=0, main_epochs=main_epochs,
@@ -375,6 +379,8 @@ class TestRecovery:
             trace = train(encoder, protos, x, config)
             assert trace.warnings == ["epoch -1: reseeded empty prototype 3"]
             assert np.isfinite(trace.prototypes.centers).all()
+            if main_epochs == 0:   # no step has moved the reseeded center yet
+                np.testing.assert_array_equal(trace.prototypes.centers[3], farthest)
             labels, _ = predict(trace.encoder, trace.prototypes, x)
             np.testing.assert_array_equal(labels, trace.assignments)
             assert (labels == 3).any()
