@@ -1,10 +1,12 @@
 """Squared Euclidean distances between the rows of two matrices.
 
 :func:`expanded` takes them from one matrix product,
-``|a|^2 + |b|^2 - 2 a.b``.  The Student's-t kernel, its gradients,
-k-means, the trainer's reseed and the silhouette means all use it.  The
-silhouette works in the row blocks that :func:`row_blocks` yields, so it
-never holds the whole (N, N) matrix.
+``|a|^2 + |b|^2 - 2 a.b``.  The Student's-t kernel, its gradients, the
+trainer's reseed and the silhouette means all use it.  k-means uses it
+only for k-means++ seeding and for the empty-cluster repair; its label
+passes drop the row's own |a|^2 (see :mod:`kmeans`).  The silhouette
+works in the row blocks that :func:`row_blocks` yields, so it never
+holds the whole (N, N) matrix.
 
 Error of :func:`expanded`, for one pair z, mu of c coordinates.  Let
 P = |z|^2 + |mu|^2, S = |z - mu|^2 (exact), u = eps / 2 the unit

@@ -2,7 +2,11 @@
 
 Both run the same Lloyd engine: k-means++ seeding, squared-Euclidean
 assignment, mean updates, and empty-cluster repair by reseeding at the
-point farthest from its own center.  The anchored variant takes one
+point farthest from its own center.  A label pass puts each row at
+``argmin_k |mu_k|^2 - 2 x.mu_k``, one (N, K) array from one matrix
+product; |x|^2 is the same for every k, so it is left out.  Rounding
+makes that differ from the argmin of :func:`distances.expanded` only
+where two centers' rounded distances tie.  The anchored variant takes one
 integer per row, ``pinned``: a row's fixed cluster, or -1 for a free
 row.  Pinned rows never change cluster but still pull on their
 cluster's centroid; plain k-means is the case with every row at -1.
@@ -41,7 +45,9 @@ class KmeansResult:
 
 
 def _exact_inertia(x, centers, labels):
-    diff = x - centers[labels]
+    diff = centers[labels]
+    # In place: a second (n, d) temporary would be freed and faulted back in every call.
+    np.subtract(x, diff, out=diff)
     return float(np.einsum("nc,nc->", diff, diff))
 
 
@@ -71,14 +77,30 @@ def _plusplus_init(x, x_sq, n_new, rng, existing):
     return chosen
 
 
+def _labels(x, centers, anchor_rows, anchor_cluster):
+    """Each row's nearest center by ``|mu|^2 - 2 x.mu``; pinned rows keep theirs."""
+    scores = x @ (-2.0 * centers).T
+    scores += np.einsum("kc,kc->k", centers, centers)
+    labels = scores.argmin(axis=1)
+    labels[anchor_rows] = anchor_cluster
+    return labels
+
+
 def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
+    """Lloyd iterations from ``centers``, pinned rows held at their clusters.
+
+    Labels come from :func:`_labels`.  Scaling the centers by -2 is exact,
+    so its product holds -2 times the bits of the one inside
+    :func:`distances.expanded`; the labels can differ from that
+    function's argmin only where two centers' rounded distances tie.
+    ``x_sq`` (|x|^2 per row) is read only in an iteration that leaves a
+    cluster empty, whose repair builds the ``expanded`` distances.
+    """
     n = x.shape[0]
     rows = np.arange(n)
     onehot = np.zeros((n, k))
     for iterations in range(1, MAX_ITER + 1):
-        d2 = distances.expanded(x, centers, x_sq)
-        labels = d2.argmin(axis=1)
-        labels[anchor_rows] = anchor_cluster
+        labels = _labels(x, centers, anchor_rows, anchor_cluster)
 
         counts = np.bincount(labels, minlength=k)
         onehot[rows, labels] = 1.0
@@ -87,8 +109,11 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
         new_centers = np.where(counts[:, None] > 0,
                                sums / np.maximum(counts, 1)[:, None], centers)
         # Empty clusters reseed at the free point farthest from its center.
-        repaired = np.zeros(n, dtype=bool)
-        for j in np.flatnonzero(counts == 0):
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            d2 = distances.expanded(x, centers, x_sq)
+            repaired = np.zeros(n, dtype=bool)
+        for j in empty:
             candidates = free_idx[~repaired[free_idx]]
             if candidates.size == 0:
                 raise ParameterError("not enough free rows to repair empty clusters")
@@ -102,8 +127,7 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     # Final assignment consistent with the returned centers.  Centers that
     # did not move give the last iteration's labels again.
     if shift != 0.0:
-        labels = distances.expanded(x, centers, x_sq).argmin(axis=1)
-        labels[anchor_rows] = anchor_cluster
+        labels = _labels(x, centers, anchor_rows, anchor_cluster)
     return KmeansResult(centers, labels, _exact_inertia(x, centers, labels), iterations)
 
 

@@ -80,10 +80,12 @@ class TestSoftAssign:
         kl_loss_gradients,
         soft_assign_grads,
     ], ids=["soft_assign", "kl_loss_gradients", "soft_assign_grads"])
-    def test_full_set_pass_holds_one_difference_block(self, call):
-        """The (N, K, c) differences are never held whole: the peak is one
-        block plus a few (N, K) arrays (the whole tensor here is 73 MiB).
-        ``other`` is the gradient functions' q or upstream dLoss/dp."""
+    def test_full_set_pass_holds_a_few_nk_arrays(self, call):
+        """The distances come from one (N, c) x (c, K) product, so the
+        (N, K, c) differences (73 MiB here) are never built: the peak is a
+        few (N, K) arrays, with ``BLOCK_ELEMENTS`` values of slack for the
+        (N,) and (K,) norms and the call's small temporaries.  ``other`` is
+        the gradient functions' q or upstream dLoss/dp."""
         n, k = 6000, 40
         rng = np.random.default_rng(5)
         z = rng.normal(size=(n, k))

@@ -72,3 +72,13 @@ def test_flags_are_printed():
     entry = {"worse_beyond_bound": True, "unresolved": True}
     assert bench_pairs._flags(entry) == "; worse beyond bound, unresolved"
     assert bench_pairs._flags({"worse_beyond_bound": False, "unresolved": False}) == ""
+
+
+def test_fault_medians_are_per_side_and_raise_no_flag():
+    """Minor page faults get a median per side, and :func:`summarize` leaves
+    them out: they are not an end-to-end metric."""
+    pairs = pairs_of([1.0] * 3, [1.0] * 3)
+    for pair, (p, c) in zip(pairs, [(900, 10), (700, 30), (800, 20)]):
+        pair["parent"]["minor_faults"], pair["change"]["minor_faults"] = p, c
+    assert bench_pairs.fault_medians(pairs) == {"parent": 800, "change": 20}
+    assert set(bench_pairs.summarize(pairs, METRICS)) == set(METRICS)

@@ -1,6 +1,8 @@
 """Tests for seeded k-means and the anchored variant."""
 
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from transfercluster import distances
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, ParameterError
-from transfercluster.kmeans import _lloyd, constrained_kmeans, kmeans
+from transfercluster.kmeans import _exact_inertia, _labels, _lloyd, constrained_kmeans, kmeans
 
 KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
 from transfercluster.metrics import clustering_accuracy
@@ -30,6 +32,18 @@ def lloyd_inertias(monkeypatch, fit):
         monkeypatch.setattr(KMEANS, "MAX_ITER", cap)
         inertias.append(_lloyd(*starts[0]).inertia)
     return np.array(inertias)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends 1 to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def pins(n, anchor_rows, anchor_cluster):
@@ -234,19 +248,16 @@ class TestFinalAssignment:
         _, unlabeled, _ = synth_mixture(1, 3, 40, 6, 8.0, seed=3)
         x = unlabeled.values
         anchor_rows, anchor_cluster = np.array([0, 1]), np.array([0, 0])
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return expanded(*args)
-
-        expanded = distances.expanded
-        monkeypatch.setattr(distances, "expanded", counted)
+        label_passes = count_calls(monkeypatch, KMEANS, "_labels")
+        expanded_calls = count_calls(monkeypatch, distances, "expanded")
         result = _lloyd(x, np.einsum("nc,nc->n", x, x), x[[0, 50, 100]], anchor_rows,
                         anchor_cluster, np.arange(2, x.shape[0]), 3)
         monkeypatch.undo()
-        # Converged with shift 0: one pass per iteration and no final one.
-        assert result.iterations < KMEANS.MAX_ITER and len(calls) == result.iterations
+        # Converged with shift 0: one label pass per iteration and no final
+        # one, and no cluster emptied, so no expanded distances were built.
+        assert result.iterations < KMEANS.MAX_ITER
+        assert len(label_passes) == result.iterations
+        assert expanded_calls == []
         np.testing.assert_array_equal(
             result.assignment, _pinned_argmin(x, result.centers, anchor_rows, anchor_cluster))
 
@@ -266,13 +277,62 @@ class TestFinalAssignment:
             anchored.assignment,
             _pinned_argmin(x, anchored.centers, anchor_rows, anchor_cluster))
 
-    def test_run_through_empty_cluster_repair(self):
+    def test_run_through_empty_cluster_repair(self, monkeypatch):
         x = np.array([[0, 0], [0, 12], [8, 0], [8, 12],
                       [4, 6], [4, 6], [4, 2], [4, 10]], dtype=float)
         anchor_rows, anchor_cluster = np.arange(4), np.array([0, 0, 1, 1])
         start = np.array([[0, 6], [8, 6], [4, 6], [4, 2], [40, 40]], dtype=float)
+        expanded_calls = count_calls(monkeypatch, distances, "expanded")
         result = _lloyd(x, np.einsum("nc,nc->n", x, x), start, anchor_rows,
                         anchor_cluster, np.arange(4, 8), 5)
+        monkeypatch.undo()
+        assert expanded_calls   # the repair reads the expanded distances
         np.testing.assert_array_equal(result.centers[4], x[7])   # repaired
         np.testing.assert_array_equal(
             result.assignment, _pinned_argmin(x, result.centers, anchor_rows, anchor_cluster))
+
+
+class TestLabelPass:
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_label_is_the_expanded_argmin_off_ties(self, seed, offset):
+        """Wherever the exact gap between a row's two nearest centers
+        exceeds 2 (c + 2) eps (|x|^2 + |mu|^2), with the larger |mu|^2 of
+        the two, both forms are within half the gap of the exact distances
+        (see :mod:`distances`), so the label pass and the argmin of
+        ``distances.expanded`` pick the same center.  The offset, shared by
+        every row and center, makes that sum 1e12 times larger."""
+        rng = np.random.default_rng(seed)
+        c = 4
+        x = rng.normal(size=(150, c)) + offset
+        centers = rng.normal(size=(6, c)) + offset
+        x_sq = np.einsum("nc,nc->n", x, x)
+        mu_sq = np.einsum("kc,kc->k", centers, centers)
+        exact = np.array([[float(sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mu)))
+                           for mu in centers] for row in x])
+        nearest = np.argsort(exact, axis=1, kind="stable")[:, :2]
+        gap = np.diff(np.take_along_axis(exact, nearest, axis=1), axis=1)[:, 0]
+        bound = 2 * (c + 2) * np.finfo(float).eps * (x_sq + mu_sq[nearest].max(axis=1))
+        clear = gap > bound
+        assert clear.mean() > 0.9
+        labels = _labels(x, centers, [], [])
+        reference = distances.expanded(x, centers, x_sq).argmin(axis=1)
+        np.testing.assert_array_equal(labels[clear], reference[clear])
+        np.testing.assert_array_equal(labels[clear], nearest[clear, 0])
+
+    def test_exact_inertia_holds_one_row_block(self):
+        """The gathered centers are overwritten by the differences, so the
+        peak is one (n, d) array and a small slack (8 KiB)."""
+        rng = np.random.default_rng(11)
+        n, d = 3000, 32
+        x = rng.normal(size=(n, d))
+        centers = rng.normal(size=(7, d))
+        labels = rng.integers(0, 7, size=n)
+        tracemalloc.start()
+        try:
+            inertia = _exact_inertia(x, centers, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * d * 8 + 8192
+        assert inertia == float(np.einsum("nc,nc->", x - centers[labels], x - centers[labels]))

@@ -265,15 +265,16 @@ class TestSilhouette:
         monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 240 * n)
         assert silhouettes(x, labellings) == [silhouette(x, l) for l in labellings]
 
-    def test_shared_pass_holds_one_difference_block(self):
+    def test_shared_pass_holds_one_distance_chunk(self):
         """21 labellings of 1 000 rows in 64 columns: the peak is one block
         of BLOCK_ELEMENTS values (the centred (N, c) copy of the rows, which
-        fits in one here), two (rows, N) distance chunks and three (L, N)
-        arrays (coded labels, sort orders and scores).  The chunks are
-        half as tall as the bound allows, since the product's two (rows, N)
-        arrays share one budget; the slack covers its temporaries and one
-        labelling's gather of the chunk's columns.  All of it is less than
-        the (N, N) distance matrix the pass never holds whole."""
+        fits in one here), two (rows, N) arrays of one row chunk's
+        ``distances.expanded`` product and three (L, N) arrays (coded
+        labels, sort orders and scores).  The chunks are half as tall as
+        the bound allows, since the product's two (rows, N) arrays share
+        one budget; the slack covers the product's other temporaries and
+        one labelling's gather of the chunk's columns.  All of it is less
+        than the (N, N) distance matrix the pass never holds whole."""
         rng = np.random.default_rng(7)
         n, c = 1000, 64
         x = rng.normal(size=(n, c))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transfercluster import distances, trainer
+from transfercluster import trainer
 from transfercluster.assignment import (
     Prototypes,
     consistency_loss,
@@ -210,25 +210,6 @@ class TestVariants:
         np.testing.assert_array_equal(base.prototypes.centers, pi.prototypes.centers)
         assert all(r.consistency_loss == 0.0 for r in pi.records)
         assert [r.kl_loss for r in base.records] == [r.kl_loss for r in pi.records]
-
-    @pytest.mark.parametrize("variant", ["baseline", "tep"])
-    def test_block_budget_leaves_training_bit_identical(self, monkeypatch, variant):
-        """Full-set passes in blocks of 2 rows give the bits of one block."""
-        encoder, unlabeled, _ = small_problem(seed=4)
-        config = TrainConfig(k=3, variant=variant, warmup_epochs=1, main_epochs=3, seed=4)
-
-        def run():
-            ready, protos, _ = initialize(encoder, unlabeled, config)
-            return train(ready, protos, unlabeled, config)
-
-        whole = run()
-        monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 2 * 3 * 3)
-        blocked = run()
-        np.testing.assert_array_equal(blocked.assignments, whole.assignments)
-        np.testing.assert_array_equal(blocked.prototypes.centers, whole.prototypes.centers)
-        assert [r.kl_loss for r in blocked.records] == [r.kl_loss for r in whole.records]
-        for a, b in zip(blocked.records, whole.records, strict=True):
-            np.testing.assert_array_equal(a.mass_hist, b.mass_hist)
 
     @pytest.mark.parametrize("variant", ["pi", "te"])
     def test_step_matches_public_function_loop(self, variant):

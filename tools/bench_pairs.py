@@ -12,27 +12,30 @@ pair to the next, starting with the parent.  A seed may be listed more
 than once.  ``--workload`` may list several workloads, comma-separated;
 each one runs all its pairs before the next starts.
 
-The script prints one line per pair with both sides' end-to-end metrics
-and failed/attempted counts.  Then, per metric, it prints each side's
-median and quartiles, the parent's interquartile range, and how many
-pairs the change won; ties count for neither side.  Each metric's
-direction and ``bound`` come from ``BENCHMARK.json`` in CHANGE_DIR, and
-two flags are raised against the bound: "worse beyond bound" when the
-change's median is worse than the parent's by more than bound x the
-parent's median, and "unresolved" when the parent's interquartile range
-exceeds bound x its median, so the runs spread too widely to tell.
-With ``--json``,
-the same record is also written to PATH as one JSON object: both
-sides' commits and environment lines (as ``perfbench/run.py`` prints
-them), and per workload every pair and every metric's summary.  The
-script imports nothing from either ``perfbench/`` and runs both with
-bytecode writing off, so it leaves no file there.  It exits 1 if a run
-fails to print its result line.
+The script prints one line per pair with both sides' end-to-end metrics,
+failed/attempted counts and minor page faults (the ``ru_minflt`` of the
+child process, from ``resource.getrusage``).  Then, per metric, it
+prints each side's median and quartiles, the parent's interquartile
+range, and how many pairs the change won; ties count for neither side.
+Each metric's direction and ``bound`` come from ``BENCHMARK.json`` in
+CHANGE_DIR, and two flags are raised against the bound: "worse beyond
+bound" when the change's median is worse than the parent's by more than
+bound x the parent's median, and "unresolved" when the parent's
+interquartile range exceeds bound x its median, so the runs spread too
+widely to tell.  Last come each side's median minor page faults; they
+are not an end-to-end metric and raise no flag.  With ``--json``, the
+same record is also written to PATH as one JSON object: both sides'
+commits and environment lines (as ``perfbench/run.py`` prints them), and
+per workload every pair, every metric's summary and each side's median
+minor page faults.  The script imports nothing from either
+``perfbench/`` and runs both with bytecode writing off, so it leaves no
+file there.  It exits 1 if a run fails to print its result line.
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -60,11 +63,14 @@ def _parse(argv):
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run from ``checkout``: its last stdout line, parsed, with
-    the environment line that run printed under ``"environment"``."""
+    the environment line that run printed under ``"environment"`` and the
+    run's minor page faults under ``"minor_faults"``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     parsed = []
     for line in proc.stdout.strip().splitlines():
         try:
@@ -77,6 +83,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.stderr.strip()}")
     result["environment"] = next((p["environment"] for p in parsed
                                   if isinstance(p, dict) and "environment" in p), None)
+    result["minor_faults"] = faults
     return result
 
 
@@ -112,6 +119,12 @@ def summarize(pairs: list, metrics: dict) -> dict:
     return summary
 
 
+def fault_medians(pairs: list) -> dict:
+    """Each side's median minor page faults over ``pairs``."""
+    return {side: statistics.median(pair[side]["minor_faults"] for pair in pairs)
+            for side in SIDES}
+
+
 def _flags(entry: dict) -> str:
     flags = [text for key, text in (("worse_beyond_bound", "worse beyond bound"),
                                     ("unresolved", "unresolved")) if entry[key]]
@@ -132,11 +145,13 @@ def run_pairs(args, workload: str, metrics: dict):
             result = run_once(sides[side], workload, seed, args.seconds)
             environment.setdefault(side, result["environment"])
             runs[side] = {**{name: result["metrics"][name]["value"] for name in metrics},
-                          "failed": result["failed"], "attempted": result["attempted"]}
+                          "failed": result["failed"], "attempted": result["attempted"],
+                          "minor_faults": result["minor_faults"]}
         pairs.append({"seed": seed, "first": order[0], **{side: runs[side] for side in SIDES}})
         shown = "  ".join(
             f"{side}: " + " ".join(f"{name}={runs[side][name]:.4g}" for name in metrics)
             + f" failed={runs[side]['failed']}/{runs[side]['attempted']}"
+            + f" faults={runs[side]['minor_faults']}"
             for side in SIDES)
         print(f"pair {i + 1} seed {seed} first={order[0]}  {shown}", flush=True)
 
@@ -154,7 +169,10 @@ def run_pairs(args, workload: str, metrics: dict):
         failed = sum(pair[side]["failed"] for pair in pairs)
         attempted = sum(pair[side]["attempted"] for pair in pairs)
         print(f"  {side} failed {failed}/{attempted} operations")
-    return {"pairs": pairs, "metrics": summary}, environment
+    faults = fault_medians(pairs)
+    print(f"  minor page faults (not an end-to-end metric): parent median "
+          f"{faults['parent']:.0f}, change median {faults['change']:.0f}")
+    return {"pairs": pairs, "metrics": summary, "minor_faults": faults}, environment
 
 
 def main(argv) -> int:
