@@ -90,7 +90,7 @@ def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     """Lloyd iterations from ``centers``, pinned rows held at their clusters.
 
     Labels come from :func:`_labels`.  Scaling the centers by -2 is exact,
-    so its product holds -2 times the bits of the one inside
+    so its product is exactly -2 times the one inside
     :func:`distances.expanded`; the labels can differ from that
     function's argmin only where two centers' rounded distances tie.
     ``x_sq`` (|x|^2 per row) is read only in an iteration that leaves a
