@@ -137,12 +137,18 @@ def kl_loss(q: np.ndarray, p: np.ndarray) -> float:
     if q.shape != p.shape:
         raise ParameterError(f"shape mismatch: q {q.shape} vs p {p.shape}")
     support = q > 0
-    if np.any(support & (p <= 0)):
+    ps = p[support]
+    if (ps <= 0).any():
         raise NumericalError(
             "infinite divergence: assignment probability is zero where the target is positive"
         )
     qs = q[support]
-    return float((qs * (np.log(qs) - np.log(p[support]))).sum() / q.shape[0])
+    # In place over the masked entries: q (log q - log p), term for term.
+    np.log(ps, out=ps)
+    terms = np.log(qs)
+    terms -= ps
+    terms *= qs
+    return float(terms.sum() / q.shape[0])
 
 
 def _kl_dlogw(q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -262,11 +262,13 @@ def save_features(path, features: FeatureMatrix, format: str = "csv",
         cols = ["id"] + [f"f{j}" for j in range(dim)] + (["label"] if labels is not None else [])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
-            for i in range(features.n_rows):
-                parts = [features.ids[i]]
-                parts += [repr(float(v)) for v in features.values[i]]
-                if labels is not None:
-                    parts.append(str(int(labels[i])))
+            # One tolist() gives Python floats, whose repr round-trips.
+            rows = features.values.tolist()
+            row_labels = None if labels is None else labels.tolist()
+            for i, row in enumerate(rows):
+                parts = [features.ids[i], *map(repr, row)]
+                if row_labels is not None:
+                    parts.append(str(row_labels[i]))
                 fh.write(",".join(parts) + "\n")
     else:
         flags = 1 if labels is not None else 0

@@ -132,11 +132,14 @@ def _forward_trace(encoder: EncoderParams, x: np.ndarray):
     """
     activations = [x]
     for layer in encoder.layers:
-        activations.append(np.tanh(activations[-1] @ layer.weights.T + layer.bias))
+        t = activations[-1] @ layer.weights.T
+        t += layer.bias
+        activations.append(np.tanh(t, out=t))
     h = activations[-1]
     if encoder.bottleneck is not None:
         a, b = encoder.bottleneck
-        h = h @ a.T + b
+        h = h @ a.T
+        h += b
     return h, activations
 
 

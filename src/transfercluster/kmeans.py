@@ -2,11 +2,7 @@
 
 Both run the same Lloyd engine: k-means++ seeding, squared-Euclidean
 assignment, mean updates, and empty-cluster repair by reseeding at the
-point farthest from its own center.  A label pass puts each row at
-``argmin_k |mu_k|^2 - 2 x.mu_k``, one (N, K) array from one matrix
-product; |x|^2 is the same for every k, so it is left out.  Rounding
-makes that differ from the argmin of :func:`distances.expanded` only
-where two centers' rounded distances tie.  The anchored variant takes one
+point farthest from its own center.  The anchored variant takes one
 integer per row, ``pinned``: a row's fixed cluster, or -1 for a free
 row.  Pinned rows never change cluster but still pull on their
 cluster's centroid; plain k-means is the case with every row at -1.
@@ -14,7 +10,16 @@ cluster's centroid; plain k-means is the case with every row at -1.
 Each call runs ``N_INIT`` independent seedings of at most ``MAX_ITER``
 Lloyd iterations, stopping once no center moves by ``TOL`` or more, and
 keeps the lowest final inertia (first winner on ties), all derived
-deterministically from the seed.
+deterministically from the seed.  The seedings are drawn first and the
+restarts then iterate in lockstep.  A label pass puts each free row at
+``argmin_k |mu_k|^2 - 2 x.mu_k`` for every running restart, from one
+product against their centers stacked; |x|^2 is the same for every k,
+so it is left out.  Rounding makes that differ from the argmin of
+:func:`distances.expanded`, or from a product against one restart's
+centers alone, only where two centers' rounded distances tie.  The
+centroid sums are each restart's own ``onehot.T @ x``, so off ties every
+restart ends with the centers, assignment, inertia and iteration count
+it reaches run on its own.
 """
 
 from dataclasses import dataclass
@@ -77,58 +82,112 @@ def _plusplus_init(x, x_sq, n_new, rng, existing):
     return chosen
 
 
-def _labels(x, centers, anchor_rows, anchor_cluster):
-    """Each row's nearest center by ``|mu|^2 - 2 x.mu``; pinned rows keep theirs."""
-    scores = x @ (-2.0 * centers).T
-    scores += np.einsum("kc,kc->k", centers, centers)
-    labels = scores.argmin(axis=1)
-    labels[anchor_rows] = anchor_cluster
-    return labels
+def _label_pass(x, centers, labels, active):
+    """Relabel ``x`` for the ``active`` restarts; return which ones moved.
 
-
-def _lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
-    """Lloyd iterations from ``centers``, pinned rows held at their clusters.
-
-    Labels come from :func:`_labels`.  Scaling the centers by -2 is exact,
-    so its product is exactly -2 times the one inside
-    :func:`distances.expanded`; the labels can differ from that
-    function's argmin only where two centers' rounded distances tie.
-    ``x_sq`` (|x|^2 per row) is read only in an iteration that leaves a
-    cluster empty, whose repair builds the ``expanded`` distances.
+    ``centers`` is (R, k, d), one set per restart, and ``labels`` the
+    (R, n) label matrix, overwritten in the active rows.  One product
+    against the active restarts' centers stacked gives ``|mu|^2 - 2 x.mu``
+    for every row and center, and each restart takes the argmin over its
+    own k columns.  Rows go in blocks of n // A for A active restarts, so
+    a block of scores holds at most n * k values.
     """
-    n = x.shape[0]
-    rows = np.arange(n)
-    onehot = np.zeros((n, k))
-    for iterations in range(1, MAX_ITER + 1):
-        labels = _labels(x, centers, anchor_rows, anchor_cluster)
+    k, d = centers.shape[1:]
+    scaled = centers[active].reshape(-1, d)
+    mu_sq = np.einsum("kc,kc->k", scaled, scaled)
+    scaled *= -2.0
+    moved = np.zeros(active.size, dtype=bool)
+    step = max(1, x.shape[0] // active.size)
+    for start in range(0, x.shape[0], step):
+        block = slice(start, start + step)
+        scores = x[block] @ scaled.T
+        scores += mu_sq
+        nearest = scores.reshape(scores.shape[0], active.size, k).argmin(axis=2).T
+        moved |= (labels[active, block] != nearest).any(axis=1)
+        labels[active, block] = nearest
+    return moved
 
-        counts = np.bincount(labels, minlength=k)
-        onehot[rows, labels] = 1.0
-        sums = onehot.T @ x
-        onehot[rows, labels] = 0.0
-        new_centers = np.where(counts[:, None] > 0,
-                               sums / np.maximum(counts, 1)[:, None], centers)
-        # Empty clusters reseed at the free point farthest from its center.
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            d2 = distances.expanded(x, centers, x_sq)
-            repaired = np.zeros(n, dtype=bool)
-        for j in empty:
-            candidates = free_idx[~repaired[free_idx]]
-            if candidates.size == 0:
-                raise ParameterError("not enough free rows to repair empty clusters")
-            pick = candidates[np.argmax(d2[candidates, labels[candidates]])]
-            new_centers[j] = x[pick]
-            repaired[pick] = True
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
-        if shift < TOL:
-            break
-    # Final assignment consistent with the returned centers.  Centers that
+
+def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
+    """Lloyd iterations of every restart in lockstep, pinned rows held.
+
+    ``starts`` is a float (R, k, d) array, one set of start centers per
+    restart, and is overwritten with the moving centers.  Each
+    iteration labels the free rows of all restarts that are still running
+    in one :func:`_label_pass`.  Scaling the centers by -2 is exact, so a
+    label can differ from the argmin of :func:`distances.expanded` only
+    where two centers' rounded distances tie.  Each restart then takes its
+    own ``onehot.T @ x`` centroid sums, from one (n, k) one-hot buffer
+    that flips only the rows whose label differs from what it shows, so
+    its centers keep the bits of a restart run on its own.  A restart
+    whose labels did not move since a repair-free update has shift 0 and
+    stops without a centroid pass; those that stop with a nonzero shift
+    get one more label pass together, so each assignment matches its
+    centers.
+    ``x_sq`` (|x|^2 per row) is read only in an update that leaves a
+    cluster empty, whose repair builds the ``expanded`` distances.
+
+    Yields each restart's :class:`KmeansResult` in order.
+    """
+    centers = starts
+    n_runs, k = centers.shape[:2]
+    free_x = x[free_idx]
+    free_labels = np.full((n_runs, free_idx.size), -1)
+    anchor_counts = np.bincount(anchor_cluster, minlength=k)
+    onehot = np.zeros((x.shape[0], k))
+    onehot[anchor_rows, anchor_cluster] = 1.0
+    onehot[free_idx, 0] = 1.0
+    shown = np.zeros(free_idx.size, dtype=np.int64)   # the free labels onehot shows
+    iterations = np.zeros(n_runs, dtype=int)
+    repair_free = np.zeros(n_runs, dtype=bool)
+    running = np.arange(n_runs)
+    relabel = []   # restarts that stopped with a nonzero shift
+    while running.size:
+        moved = _label_pass(free_x, centers, free_labels, running)
+        still_running = []
+        for r, run_moved in zip(running, moved):
+            iterations[r] += 1
+            if not run_moved and repair_free[r]:
+                continue
+            labels = free_labels[r]
+            counts = np.bincount(labels, minlength=k) + anchor_counts
+            flip = np.flatnonzero(labels != shown)
+            onehot[free_idx[flip], shown[flip]] = 0.0
+            shown[flip] = labels[flip]
+            onehot[free_idx[flip], shown[flip]] = 1.0
+            new_centers = onehot.T @ x
+            new_centers /= np.maximum(counts, 1)[:, None]
+            # Empty clusters reseed at the free point farthest from its center.
+            empty = np.flatnonzero(counts == 0)
+            repair_free[r] = empty.size == 0
+            if empty.size:
+                d2 = distances.expanded(x, centers[r], x_sq)[free_idx, labels]
+                taken = np.zeros(free_idx.size, dtype=bool)
+            for j in empty:
+                candidates = np.flatnonzero(~taken)
+                if candidates.size == 0:
+                    raise ParameterError("not enough free rows to repair empty clusters")
+                pick = candidates[np.argmax(d2[candidates])]
+                new_centers[j] = free_x[pick]
+                taken[pick] = True
+            shift = np.sqrt(((new_centers - centers[r]) ** 2).sum(axis=1)).max()
+            centers[r] = new_centers
+            if shift >= TOL and iterations[r] < MAX_ITER:
+                still_running.append(r)
+            elif shift != 0.0:
+                relabel.append(r)
+        running = np.array(still_running, dtype=int)
+    # Final assignments consistent with the returned centers.  Centers that
     # did not move give the last iteration's labels again.
-    if shift != 0.0:
-        labels = _labels(x, centers, anchor_rows, anchor_cluster)
-    return KmeansResult(centers, labels, _exact_inertia(x, centers, labels), iterations)
+    if relabel:
+        _label_pass(free_x, centers, free_labels, np.array(relabel))
+    del onehot, shown, free_x
+    for r in range(n_runs):
+        labels = np.empty(x.shape[0], dtype=np.int64)
+        labels[anchor_rows] = anchor_cluster
+        labels[free_idx] = free_labels[r]
+        yield KmeansResult(centers[r].copy(), labels,
+                           _exact_inertia(x, centers[r], labels), int(iterations[r]))
 
 
 def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
@@ -148,11 +207,14 @@ def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
-    pinned = np.asarray(pinned, dtype=np.int64)
+    pinned = np.asarray(pinned)
     if pinned.shape != (n,):
         raise ParameterError(f"pinned must have shape ({n},), got {pinned.shape}")
+    if not (pinned == np.trunc(pinned)).all():
+        raise ParameterError("pinned cluster ids must be integers")
     if pinned.min() < -1 or pinned.max() >= k:
         raise ParameterError(f"pinned cluster ids must lie in -1..{k - 1}")
+    pinned = pinned.astype(np.int64)
 
     anchor_rows = np.flatnonzero(pinned >= 0)
     anchor_cluster = pinned[anchor_rows]
@@ -173,15 +235,16 @@ def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
     x_sq = np.einsum("nc,nc->n", x, x)
     free_sq = x_sq[free_idx]
 
-    best = None
-    for run in range(N_INIT):
-        rng = rng_for(seed, "kmeans", run)
-        free_centers = _plusplus_init(free_x, free_sq, n_free_clusters, rng, anchor_centers)
-        result = _lloyd(x, x_sq, np.vstack([anchor_centers, free_centers]),
-                        anchor_rows, anchor_cluster, free_idx, k)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best
+    starts = np.array([
+        np.vstack([anchor_centers,
+                   _plusplus_init(free_x, free_sq, n_free_clusters,
+                                  rng_for(seed, "kmeans", run), anchor_centers)])
+        for run in range(N_INIT)
+    ])
+    del free_x, free_sq
+    # min keeps the first of equal inertias.
+    return min(_lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx),
+               key=lambda result: result.inertia)
 
 
 def kmeans(data, k: int, seed: int = 0) -> KmeansResult:

@@ -89,4 +89,8 @@ def perturb(batch, magnitude: float, seed: int, step: int):
     if magnitude == 0.0:
         return values.copy()
     rng = rng_for(seed, "perturb", int(step))
-    return values + magnitude * rng.standard_normal(values.shape)
+    # In place; IEEE addition commutes, so noise + values has the bits of values + noise.
+    noise = rng.standard_normal(values.shape)
+    noise *= magnitude
+    noise += values
+    return noise

@@ -79,6 +79,27 @@ class TestCsvFormat:
         np.testing.assert_array_equal(back.values, fm.values)
         assert back.ids == fm.ids
 
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["no-labels", "labels"])
+    def test_bytes_are_the_per_value_repr(self, tmp_path, with_labels):
+        """Signed zero, the smallest subnormal, the largest double, a value
+        with no short binary form and a large integer each print as
+        ``repr(float(v))``."""
+        values = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                           [0.1, 1e16, -0.0]])
+        labels = np.array([3, 0]) if with_labels else None
+        path = tmp_path / "f.csv"
+        save_features(path, FeatureMatrix(values, ("a", "b")), labels=labels)
+        lines = ["id,f0,f1,f2" + (",label" if with_labels else "")]
+        for i, (row_id, row) in enumerate(zip("ab", values)):
+            lines.append(",".join([row_id, *(repr(float(v)) for v in row)]
+                                  + ([str(labels[i])] if with_labels else [])))
+        expected = "\n".join(lines) + "\n"
+        assert expected.splitlines()[1:] == [
+            "a,-0.0,5e-324,1.7976931348623157e+308" + (",3" if with_labels else ""),
+            "b,0.1,1e+16,-0.0" + (",0" if with_labels else ""),
+        ]
+        assert path.read_bytes() == expected.encode()
+
     def test_labels_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         fm = FeatureMatrix(rng.normal(size=(6, 2)), tuple(f"r{i}" for i in range(6)))

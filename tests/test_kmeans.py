@@ -10,28 +10,91 @@ import pytest
 from transfercluster import distances
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, ParameterError
-from transfercluster.kmeans import _exact_inertia, _labels, _lloyd, constrained_kmeans, kmeans
+from transfercluster.kmeans import (
+    KmeansResult, _exact_inertia, _label_pass, _lloyd, constrained_kmeans, kmeans,
+)
 
 KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
 from transfercluster.metrics import clustering_accuracy
 
 
+def record_lloyd(monkeypatch):
+    """Wrap ``kmeans._lloyd``; each call appends ``(args, results)`` to the
+    returned list, with a copy of the start centers in ``args``."""
+    calls = []
+
+    def recorded(x, x_sq, starts, *rest):
+        args = (x, x_sq, starts.copy(), *rest)
+        calls.append((args, list(_lloyd(x, x_sq, starts, *rest))))
+        return iter(calls[-1][1])
+
+    monkeypatch.setattr(KMEANS, "_lloyd", recorded)
+    return calls
+
+
 def lloyd_inertias(monkeypatch, fit):
     """Final inertia of ``fit``'s first restart when capped at 1..29 Lloyd
     iterations, each time from the same start centers."""
-    starts = []
-
-    def recorded(*args):
-        starts.append(args)
-        return _lloyd(*args)
-
-    monkeypatch.setattr(KMEANS, "_lloyd", recorded)
+    calls = record_lloyd(monkeypatch)
     fit()
+    x, x_sq, starts, *rest = calls[0][0]
     inertias = []
     for cap in range(1, 30):
         monkeypatch.setattr(KMEANS, "MAX_ITER", cap)
-        inertias.append(_lloyd(*starts[0]).inertia)
+        inertias.append(next(_lloyd(x, x_sq, starts[:1].copy(), *rest)).inertia)
     return np.array(inertias)
+
+
+def sequential_labels(x, centers, anchor_rows, anchor_cluster):
+    """Each row's nearest center by ``|mu|^2 - 2 x.mu``; pinned rows keep theirs."""
+    scores = x @ (-2.0 * centers).T
+    scores += np.einsum("kc,kc->k", centers, centers)
+    labels = scores.argmin(axis=1)
+    labels[anchor_rows] = anchor_cluster
+    return labels
+
+
+def sequential_lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
+    """Oracle: one restart's Lloyd iterations on its own, with a full label
+    product per pass and a one-hot buffer set and cleared every pass, as
+    the package ran them before restarts ran in lockstep."""
+    n = x.shape[0]
+    rows = np.arange(n)
+    onehot = np.zeros((n, k))
+    for iterations in range(1, KMEANS.MAX_ITER + 1):
+        labels = sequential_labels(x, centers, anchor_rows, anchor_cluster)
+
+        counts = np.bincount(labels, minlength=k)
+        onehot[rows, labels] = 1.0
+        sums = onehot.T @ x
+        onehot[rows, labels] = 0.0
+        new_centers = np.where(counts[:, None] > 0,
+                               sums / np.maximum(counts, 1)[:, None], centers)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            d2 = distances.expanded(x, centers, x_sq)
+            repaired = np.zeros(n, dtype=bool)
+        for j in empty:
+            candidates = free_idx[~repaired[free_idx]]
+            if candidates.size == 0:
+                raise ParameterError("not enough free rows to repair empty clusters")
+            pick = candidates[np.argmax(d2[candidates, labels[candidates]])]
+            new_centers[j] = x[pick]
+            repaired[pick] = True
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < KMEANS.TOL:
+            break
+    if shift != 0.0:
+        labels = sequential_labels(x, centers, anchor_rows, anchor_cluster)
+    return KmeansResult(centers, labels, _exact_inertia(x, centers, labels), iterations)
+
+
+def assert_fits_equal(a, b):
+    np.testing.assert_array_equal(a.centers, b.centers)
+    np.testing.assert_array_equal(a.assignment, b.assignment)
+    assert a.inertia == b.inertia
+    assert a.iterations == b.iterations
 
 
 def count_calls(monkeypatch, module, name):
@@ -167,6 +230,19 @@ class TestConstrainedKmeans:
             constrained_kmeans(np.random.default_rng(0).normal(size=(6, 2)), 3,
                                [0, -2, -1, -1, -1, -1], seed=0)
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.9])
+    def test_non_integer_pin_rejected(self, bad):
+        """Truncation would pin the row to cluster int(bad) instead."""
+        with pytest.raises(ParameterError, match="integers"):
+            constrained_kmeans(np.random.default_rng(0).normal(size=(6, 2)), 3,
+                               [0, 1, bad, -1, -1, -1], seed=0)
+
+    def test_integer_valued_float_pins_accepted(self):
+        x = np.random.default_rng(0).normal(size=(6, 2))
+        as_float = constrained_kmeans(x, 3, np.array([0.0, 1.0, 2.0, -1.0, -1.0, -1.0]), seed=0)
+        as_int = constrained_kmeans(x, 3, np.array([0, 1, 2, -1, -1, -1]), seed=0)
+        assert_fits_equal(as_float, as_int)
+
     @pytest.mark.parametrize("pinned", [np.full(5, -1), np.full(7, -1), np.full((6, 1), -1)],
                              ids=["short", "long", "2-D"])
     def test_pin_array_of_wrong_shape_rejected(self, pinned):
@@ -176,21 +252,16 @@ class TestConstrainedKmeans:
     def test_pinned_rows_never_change_cluster_in_any_restart(self, monkeypatch):
         """Every restart of every seed, not only the kept one, returns each
         pinned row in its own cluster."""
-        lloyd_results = []
-
-        def recorded(*args):
-            lloyd_results.append(_lloyd(*args))
-            return lloyd_results[-1]
-
-        monkeypatch.setattr(KMEANS, "_lloyd", recorded)
+        calls = record_lloyd(monkeypatch)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(60, 2))
         for seed in range(5):
             pinned = np.full(60, -1)
             rows = rng.choice(60, size=12, replace=False)
             pinned[rows] = np.arange(12) % 3
-            lloyd_results.clear()
+            calls.clear()
             result = constrained_kmeans(x, 6, pinned, seed=seed)
+            (_, lloyd_results), = calls
             assert len(lloyd_results) == KMEANS.N_INIT
             for fit in lloyd_results + [result]:
                 np.testing.assert_array_equal(fit.assignment[rows], pinned[rows])
@@ -217,8 +288,8 @@ class TestConstrainedKmeans:
                       [4, 6], [4, 6], [4, 2], [4, 10]], dtype=float)
         anchor_rows, anchor_cluster = np.arange(4), np.array([0, 0, 1, 1])
         start = np.array([[0, 6], [8, 6], [4, 6], [4, 2], [40, 40]], dtype=float)
-        result = _lloyd(x, np.einsum("nc,nc->n", x, x), start, anchor_rows,
-                        anchor_cluster, np.arange(4, 8), 5)
+        result, = _lloyd(x, np.einsum("nc,nc->n", x, x), start[None], anchor_rows,
+                         anchor_cluster, np.arange(4, 8))
         np.testing.assert_array_equal(result.assignment[anchor_rows], anchor_cluster)
         np.testing.assert_array_equal(np.bincount(result.assignment, minlength=5),
                                       [2, 2, 2, 1, 1])
@@ -248,13 +319,15 @@ class TestFinalAssignment:
         _, unlabeled, _ = synth_mixture(1, 3, 40, 6, 8.0, seed=3)
         x = unlabeled.values
         anchor_rows, anchor_cluster = np.array([0, 1]), np.array([0, 0])
-        label_passes = count_calls(monkeypatch, KMEANS, "_labels")
+        label_passes = count_calls(monkeypatch, KMEANS, "_label_pass")
         expanded_calls = count_calls(monkeypatch, distances, "expanded")
-        result = _lloyd(x, np.einsum("nc,nc->n", x, x), x[[0, 50, 100]], anchor_rows,
-                        anchor_cluster, np.arange(2, x.shape[0]), 3)
+        result, = _lloyd(x, np.einsum("nc,nc->n", x, x), x[[0, 50, 100]][None], anchor_rows,
+                         anchor_cluster, np.arange(2, x.shape[0]))
         monkeypatch.undo()
         # Converged with shift 0: one label pass per iteration and no final
         # one, and no cluster emptied, so no expanded distances were built.
+        # The last iteration's labels did not move after a repair-free
+        # update, so that iteration took no centroid pass.
         assert result.iterations < KMEANS.MAX_ITER
         assert len(label_passes) == result.iterations
         assert expanded_calls == []
@@ -283,13 +356,100 @@ class TestFinalAssignment:
         anchor_rows, anchor_cluster = np.arange(4), np.array([0, 0, 1, 1])
         start = np.array([[0, 6], [8, 6], [4, 6], [4, 2], [40, 40]], dtype=float)
         expanded_calls = count_calls(monkeypatch, distances, "expanded")
-        result = _lloyd(x, np.einsum("nc,nc->n", x, x), start, anchor_rows,
-                        anchor_cluster, np.arange(4, 8), 5)
+        result, = _lloyd(x, np.einsum("nc,nc->n", x, x), start[None], anchor_rows,
+                         anchor_cluster, np.arange(4, 8))
         monkeypatch.undo()
         assert expanded_calls   # the repair reads the expanded distances
         np.testing.assert_array_equal(result.centers[4], x[7])   # repaired
         np.testing.assert_array_equal(
             result.assignment, _pinned_argmin(x, result.centers, anchor_rows, anchor_cluster))
+
+
+class TestLockstep:
+    """Every restart of the lockstep loop, not only the kept one, has the
+    centers, assignment, inertia and iteration count of the same restart
+    run on its own by :func:`sequential_lloyd`."""
+
+    @pytest.mark.parametrize("tol", [KMEANS.TOL, 0.1], ids=["tol", "coarse-tol"])
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_restart_matches_the_sequential_oracle(self, monkeypatch, seed, anchored,
+                                                         tol):
+        """At the coarse tolerance, some restarts stop with a nonzero shift
+        while others still iterate, and take one more label pass at the end."""
+        monkeypatch.setattr(KMEANS, "TOL", tol)
+        labeled, unlabeled, _ = synth_mixture(3, 4, 30, 8, 3.0, seed=seed)
+        x = np.vstack([labeled.features.values, unlabeled.values])
+        pinned = np.full(x.shape[0], -1)
+        if anchored:
+            pinned[: labeled.labels.size] = labeled.labels
+        calls = record_lloyd(monkeypatch)
+        result = constrained_kmeans(x, 7, pinned, seed=seed)
+        (args, fits), = calls
+        _, x_sq, starts, anchor_rows, anchor_cluster, free_idx = args
+        assert len(fits) == KMEANS.N_INIT
+        for start, fit in zip(starts, fits):
+            assert_fits_equal(fit, sequential_lloyd(x, x_sq, start, anchor_rows,
+                                                    anchor_cluster, free_idx, 7))
+        assert result is fits[int(np.argmin([fit.inertia for fit in fits]))]
+        assert len({fit.iterations for fit in fits}) > 1
+
+    def test_restarts_through_empty_cluster_repair_match_the_oracle(self, monkeypatch):
+        """Far start centers empty one cluster in restart 1 and two in
+        restart 3 on the first pass; restarts 0, 2 and 4 need no repair."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(120, 3))
+        x_sq = np.einsum("nc,nc->n", x, x)
+        anchor_rows, anchor_cluster = np.arange(10), np.arange(10) % 2
+        free_idx = np.arange(10, 120)
+        starts = x[rng.choice(free_idx, size=(5, 6))]
+        starts[:, 0] = x[0:10:2].mean(axis=0)
+        starts[:, 1] = x[1:10:2].mean(axis=0)
+        starts[1, 5] = 1e3
+        starts[3, 4:] = [[1e3, 0, 0], [0, -1e3, 0]]
+        oracle = [sequential_lloyd(x, x_sq, start, anchor_rows, anchor_cluster, free_idx, 6)
+                  for start in starts]
+        expanded_calls = count_calls(monkeypatch, distances, "expanded")
+        fits = list(_lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx))
+        monkeypatch.undo()
+        assert len(expanded_calls) >= 2
+        for fit, expected in zip(fits, oracle):
+            assert_fits_equal(fit, expected)
+            np.testing.assert_array_equal(fit.assignment[anchor_rows], anchor_cluster)
+
+    def test_unmoved_labels_after_a_repair_are_not_convergence(self):
+        """The repair puts cluster 2 on a copy of (0, 0), whose rows stay
+        in cluster 0 on the tie, so the next pass moves no label.  The
+        repair then reads distances to the new means and picks (9, 0):
+        unmoved labels mean unchanged centers only after a repair-free
+        update."""
+        x = np.array([[0, 0], [0, 0], [9, 0], [11, 0]], dtype=float)
+        start = np.array([[2, 0], [10, 0], [100, 100]], dtype=float)
+        x_sq = np.einsum("nc,nc->n", x, x)
+        no_pins = np.array([], dtype=np.int64)
+        expected = sequential_lloyd(x, x_sq, start, no_pins, no_pins, np.arange(4), 3)
+        fit, = _lloyd(x, x_sq, start[None].copy(), no_pins, no_pins, np.arange(4))
+        assert_fits_equal(fit, expected)
+        assert fit.iterations > 2
+        np.testing.assert_array_equal(fit.centers[2], x[2])
+
+    def test_peak_is_the_sequential_peak_plus_one_label_matrix(self):
+        """1 400 x 64 rows, k = 24, 300 pinned rows.  Run one restart at a
+        time, these inputs peaked at 1 699 512 B (numpy 2.4): the free rows,
+        the one-hot buffer and an (n, k) score array, then the (n, d)
+        inertia temporary.  Lockstep may add one (N_INIT, n) label matrix."""
+        rng = np.random.default_rng(0)
+        n = 1400
+        x = rng.normal(size=(n, 64))
+        pinned = np.full(n, -1)
+        pinned[:300] = np.arange(300) % 10
+        tracemalloc.start()
+        try:
+            constrained_kmeans(x, 24, pinned, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_699_512 + KMEANS.N_INIT * n * 8
 
 
 class TestLabelPass:
@@ -301,24 +461,43 @@ class TestLabelPass:
         the two, both forms are within half the gap of the exact distances
         (see :mod:`distances`), so the label pass and the argmin of
         ``distances.expanded`` pick the same center.  The offset, shared by
-        every row and center, makes that sum 1e12 times larger."""
+        every row and center, makes that sum 1e12 times larger.  Three
+        restarts' centers go through one stacked pass; each is checked."""
         rng = np.random.default_rng(seed)
         c = 4
         x = rng.normal(size=(150, c)) + offset
-        centers = rng.normal(size=(6, c)) + offset
+        runs = rng.normal(size=(3, 6, c)) + offset
         x_sq = np.einsum("nc,nc->n", x, x)
-        mu_sq = np.einsum("kc,kc->k", centers, centers)
-        exact = np.array([[float(sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mu)))
-                           for mu in centers] for row in x])
-        nearest = np.argsort(exact, axis=1, kind="stable")[:, :2]
-        gap = np.diff(np.take_along_axis(exact, nearest, axis=1), axis=1)[:, 0]
-        bound = 2 * (c + 2) * np.finfo(float).eps * (x_sq + mu_sq[nearest].max(axis=1))
-        clear = gap > bound
-        assert clear.mean() > 0.9
-        labels = _labels(x, centers, [], [])
-        reference = distances.expanded(x, centers, x_sq).argmin(axis=1)
-        np.testing.assert_array_equal(labels[clear], reference[clear])
-        np.testing.assert_array_equal(labels[clear], nearest[clear, 0])
+        labels = np.full((3, x.shape[0]), -1)
+        assert _label_pass(x, runs, labels, np.arange(3)).all()
+        for centers, run_labels in zip(runs, labels):
+            mu_sq = np.einsum("kc,kc->k", centers, centers)
+            exact = np.array([[float(sum((Fraction(a) - Fraction(b)) ** 2
+                                         for a, b in zip(row, mu)))
+                               for mu in centers] for row in x])
+            nearest = np.argsort(exact, axis=1, kind="stable")[:, :2]
+            gap = np.diff(np.take_along_axis(exact, nearest, axis=1), axis=1)[:, 0]
+            bound = 2 * (c + 2) * np.finfo(float).eps * (x_sq + mu_sq[nearest].max(axis=1))
+            clear = gap > bound
+            assert clear.mean() > 0.9
+            reference = distances.expanded(x, centers, x_sq).argmin(axis=1)
+            np.testing.assert_array_equal(run_labels[clear], reference[clear])
+            np.testing.assert_array_equal(run_labels[clear], nearest[clear, 0])
+
+    def test_pass_relabels_only_active_restarts_and_reports_moves(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(97, 3))
+        runs = rng.normal(size=(4, 5, 3))
+        labels = np.full((4, 97), -1)
+        _label_pass(x, runs, labels, np.arange(4))
+        before = labels.copy()
+        assert not _label_pass(x, runs, labels, np.arange(4)).any()
+        runs[1] = runs[1, ::-1]   # same centers, reversed ids
+        runs[3] = runs[0]
+        moved = _label_pass(x, runs, labels, np.array([1, 2]))
+        np.testing.assert_array_equal(moved, [True, False])
+        np.testing.assert_array_equal(labels[[0, 2, 3]], before[[0, 2, 3]])
+        np.testing.assert_array_equal(labels[1], 4 - before[1])
 
     def test_exact_inertia_holds_one_row_block(self):
         """The gathered centers are overwritten by the differences, so the
