@@ -109,25 +109,19 @@ def _label_pass(x, centers, labels, active):
 
 
 def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
-    """Lloyd iterations of every restart in lockstep, pinned rows held.
+    """Lloyd iterations of every restart in lockstep; yields each
+    restart's :class:`KmeansResult` in order.
 
-    ``starts`` is a float (R, k, d) array, one set of start centers per
-    restart, and is overwritten with the moving centers.  Each
-    iteration labels the free rows of all restarts that are still running
-    in one :func:`_label_pass`.  Scaling the centers by -2 is exact, so a
-    label can differ from the argmin of :func:`distances.expanded` only
-    where two centers' rounded distances tie.  Each restart then takes its
-    own ``onehot.T @ x`` centroid sums, from one (n, k) one-hot buffer
-    that flips only the rows whose label differs from what it shows, so
-    its centers keep the bits of a restart run on its own.  A restart
-    whose labels did not move since a repair-free update has shift 0 and
-    stops without a centroid pass; those that stop with a nonzero shift
-    get one more label pass together, so each assignment matches its
-    centers.
+    ``starts`` is a float (R, k, d) array of start centers, overwritten
+    with the moving centers.  Each iteration labels the free rows of the
+    running restarts in one :func:`_label_pass`.  Each restart then takes
+    its own ``onehot.T @ x`` centroid sums from one (n, k) one-hot buffer,
+    which flips only the rows whose label differs from what it shows.
+    Unmoved labels after a repair-free update mean shift 0, so that
+    restart stops without a centroid pass; those that stop with a nonzero
+    shift get one more label pass, so each assignment matches its centers.
     ``x_sq`` (|x|^2 per row) is read only in an update that leaves a
     cluster empty, whose repair builds the ``expanded`` distances.
-
-    Yields each restart's :class:`KmeansResult` in order.
     """
     centers = starts
     n_runs, k = centers.shape[:2]

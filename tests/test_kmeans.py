@@ -55,9 +55,9 @@ def sequential_labels(x, centers, anchor_rows, anchor_cluster):
 
 
 def sequential_lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
-    """Oracle: one restart's Lloyd iterations on its own, with a full label
-    product per pass and a one-hot buffer set and cleared every pass, as
-    the package ran them before restarts ran in lockstep."""
+    """Oracle: one restart's Lloyd iterations run on their own, with a
+    label product over every row per pass and a one-hot buffer set and
+    cleared every pass."""
     n = x.shape[0]
     rows = np.arange(n)
     onehot = np.zeros((n, k))
