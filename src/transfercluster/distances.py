@@ -2,9 +2,11 @@
 
 :func:`expanded` takes them from one matrix product,
 ``|a|^2 + |b|^2 - 2 a.b``.  The Student's-t kernel, its gradients, the
-trainer's reseed and the silhouette means all use it.  k-means uses it
-only for k-means++ seeding and for the empty-cluster repair; its label
-passes drop the row's own |a|^2 (see :mod:`kmeans`).  The silhouette
+trainer's reseed and the silhouette means all use it.  k-means calls it
+only for the anchor centers in the k-means++ D^2 pool and for the
+empty-cluster repair; its seeding draws repeat its steps for all
+restarts at once, and its label passes drop the row's own |a|^2 (see
+:mod:`kmeans`).  The silhouette
 works in the row blocks that :func:`row_blocks` yields, so it never
 holds the whole (N, N) matrix.
 

@@ -10,24 +10,30 @@ cluster's centroid; plain k-means is the case with every row at -1.
 Each call runs ``N_INIT`` independent seedings of at most ``MAX_ITER``
 Lloyd iterations, stopping once no center moves by ``TOL`` or more, and
 keeps the lowest final inertia (first winner on ties), all derived
-deterministically from the seed.  The seedings are drawn first and the
-restarts then iterate in lockstep.  A label pass puts each free row at
+deterministically from the seed.  All seedings are drawn in lockstep,
+each from its own generator and its own ``x @ c`` product per draw, so
+each is bit for bit the seeding its generator gives alone.  The restarts
+then iterate in lockstep too.  A label pass puts each free row at
 ``argmin_k |mu_k|^2 - 2 x.mu_k`` for every running restart, from one
 product against their centers stacked; |x|^2 is the same for every k,
 so it is left out.  Rounding makes that differ from the argmin of
 :func:`distances.expanded`, or from a product against one restart's
 centers alone, only where two centers' rounded distances tie.  The
-centroid sums are each restart's own ``onehot.T @ x``, so off ties every
-restart ends with the centers, assignment, inertia and iteration count
-it reaches run on its own.
+centroid sums are each restart's own ``onehot.T @ x``, and the division,
+empty test and shift run elementwise or per row over all restarts at
+once, so off ties every restart ends with the centers, assignment,
+inertia and iteration count it reaches run on its own.  Non-finite data
+raises :class:`DataError`; data whose squared norms overflow raises
+:class:`NumericalError` in the seeding.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distances
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 from .seeding import rng_for
 
 N_INIT = 10      # k-means++ restarts per call
@@ -56,29 +62,58 @@ def _exact_inertia(x, centers, labels):
     return float(np.einsum("nc,nc->", diff, diff))
 
 
-def _plusplus_init(x, x_sq, n_new, rng, existing):
-    """k-means++ seeding over ``x``; existing centers join the D^2 pool.
+def _plusplus_init(x, x_sq, n_new, rngs, existing):
+    """k-means++ seeding over ``x``, one seeding per generator in ``rngs``,
+    all drawn in lockstep; existing centers join the D^2 pool.
 
-    The first draw is uniform only when there are no existing centers.
-    Raises once every row sits on a chosen or existing center, since a
-    further seed would duplicate a center and leave a cluster empty.
+    Returns the (R, n_new) indices of the chosen rows for R generators.
+    Each draw is what ``rng.choice(n, p=d2 / d2.sum())`` does and takes
+    the same one double from ``rng``, so every seeding is the one its
+    generator gives alone.  The first draw is uniform only when there are
+    no existing centers.  Each restart's distances to its new center come
+    from its own ``x @ c`` product; every other step runs on the (R, n)
+    D^2 array at once, elementwise or per row, as :func:`distances.expanded`
+    orders it.  Raises once every row sits on a chosen or existing center,
+    since a further seed would duplicate a center and leave a cluster
+    empty, and raises :class:`NumericalError` if a D^2 total overflows.
     """
-    n = x.shape[0]
-    chosen = np.empty((n_new, x.shape[1]))
-    d2 = distances.expanded(x, existing, x_sq).min(axis=1) if len(existing) else np.full(n, np.inf)
+    n, n_runs = x.shape[0], len(rngs)
+    chosen = np.empty((n_runs, n_new), dtype=np.int64)
+    if not n_new:
+        return chosen
+    if len(existing):
+        d2 = np.tile(distances.expanded(x, existing, x_sq).min(axis=1), (n_runs, 1))
+    else:
+        d2 = np.full((n_runs, n), np.inf)
+    new = np.empty((n_runs, n))    # the draw's distances, first its probabilities
+    work = np.empty((n_runs, n))   # the draw's cdf, then its products
     for j in range(n_new):
         if j == 0 and not len(existing):
-            idx = int(rng.integers(n))
+            chosen[:, 0] = [rng.integers(n) for rng in rngs]
         else:
-            total = d2.sum()
-            if total == 0:
+            totals = d2.sum(axis=1)
+            if not np.isfinite(totals).all():
+                raise NumericalError("k-means++ distances overflow; rescale the data")
+            if (totals == 0).any():
                 raise ParameterError(
                     f"{n_new} free clusters but only {j} distinct free positions "
                     "off the anchor centers"
                 )
-            idx = int(rng.choice(n, p=d2 / total))
-        chosen[j] = x[idx]
-        d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1], x_sq)[:, 0])
+            np.divide(d2, totals[:, None], out=new)
+            np.cumsum(new, axis=1, out=work)
+            work /= work[:, -1:].copy()
+            chosen[:, j] = [cdf.searchsorted(rng.random(), side="right")
+                            for cdf, rng in zip(work, rngs)]
+        if j + 1 == n_new:
+            break
+        centers = x[chosen[:, j]]
+        for center, products in zip(centers, work):
+            np.matmul(x, center, out=products)
+        work *= 2.0
+        np.add.outer(np.einsum("rc,rc->r", centers, centers), x_sq, out=new)
+        new -= work
+        np.maximum(new, 0.0, out=new)
+        np.minimum(d2, new, out=d2)
     return chosen
 
 
@@ -114,9 +149,12 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
 
     ``starts`` is a float (R, k, d) array of start centers, overwritten
     with the moving centers.  Each iteration labels the free rows of the
-    running restarts in one :func:`_label_pass`.  Each restart then takes
-    its own ``onehot.T @ x`` centroid sums from one (n, k) one-hot buffer,
-    which flips only the rows whose label differs from what it shows.
+    running restarts in one :func:`_label_pass`, then updates every
+    restart that needs it at once: one ``bincount`` for the counts, each
+    restart's own ``onehot.T @ x`` centroid sums into its slot of one
+    (U, k, d) array, then one division, one empty test and one shift for
+    all U of them.  The (n, k) one-hot buffer is shared: each restart
+    clears the free rows at the labels it shows and sets them at its own.
     Unmoved labels after a repair-free update mean shift 0, so that
     restart stops without a centroid pass; those that stop with a nonzero
     shift get one more label pass, so each assignment matches its centers.
@@ -131,51 +169,55 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
     onehot = np.zeros((x.shape[0], k))
     onehot[anchor_rows, anchor_cluster] = 1.0
     onehot[free_idx, 0] = 1.0
-    shown = np.zeros(free_idx.size, dtype=np.int64)   # the free labels onehot shows
+    flat = onehot.reshape(-1)
+    free_base = free_idx * k
+    shown = free_base   # the flat one-hot positions of the free rows' ones
     iterations = np.zeros(n_runs, dtype=int)
     repair_free = np.zeros(n_runs, dtype=bool)
     running = np.arange(n_runs)
     relabel = []   # restarts that stopped with a nonzero shift
     while running.size:
         moved = _label_pass(free_x, centers, free_labels, running)
-        still_running = []
-        for r, run_moved in zip(running, moved):
-            iterations[r] += 1
-            if not run_moved and repair_free[r]:
-                continue
-            labels = free_labels[r]
-            counts = np.bincount(labels, minlength=k) + anchor_counts
-            flip = np.flatnonzero(labels != shown)
-            onehot[free_idx[flip], shown[flip]] = 0.0
-            shown[flip] = labels[flip]
-            onehot[free_idx[flip], shown[flip]] = 1.0
-            new_centers = onehot.T @ x
-            new_centers /= np.maximum(counts, 1)[:, None]
-            # Empty clusters reseed at the free point farthest from its center.
-            empty = np.flatnonzero(counts == 0)
-            repair_free[r] = empty.size == 0
-            if empty.size:
-                d2 = distances.expanded(x, centers[r], x_sq)[free_idx, labels]
-                taken = np.zeros(free_idx.size, dtype=bool)
-            for j in empty:
+        iterations[running] += 1
+        update = running[moved | ~repair_free[running]]
+        labels = free_labels[update]
+        counts = np.bincount((labels + k * np.arange(update.size)[:, None]).ravel(),
+                             minlength=update.size * k).reshape(update.size, k)
+        counts += anchor_counts
+        new_centers = np.empty((update.size, k, x.shape[1]))
+        for u in range(update.size):
+            flat[shown] = 0.0
+            shown = free_base + labels[u]
+            flat[shown] = 1.0
+            np.matmul(onehot.T, x, out=new_centers[u])
+        new_centers /= np.maximum(counts, 1)[:, :, None]
+        # Empty clusters reseed at the free point farthest from its center.
+        empty = counts == 0
+        repair_free[update] = ~empty.any(axis=1)
+        for u in np.flatnonzero(~repair_free[update]):
+            d2 = distances.expanded(x, centers[update[u]], x_sq)[free_idx, labels[u]]
+            taken = np.zeros(free_idx.size, dtype=bool)
+            for j in np.flatnonzero(empty[u]):
                 candidates = np.flatnonzero(~taken)
                 if candidates.size == 0:
                     raise ParameterError("not enough free rows to repair empty clusters")
                 pick = candidates[np.argmax(d2[candidates])]
-                new_centers[j] = free_x[pick]
+                new_centers[u, j] = free_x[pick]
                 taken[pick] = True
-            shift = np.sqrt(((new_centers - centers[r]) ** 2).sum(axis=1)).max()
-            centers[r] = new_centers
-            if shift >= TOL and iterations[r] < MAX_ITER:
-                still_running.append(r)
-            elif shift != 0.0:
-                relabel.append(r)
-        running = np.array(still_running, dtype=int)
+        diff = centers[update]
+        np.subtract(new_centers, diff, out=diff)
+        diff *= diff
+        shift = np.sqrt(diff.sum(axis=2)).max(axis=1)
+        centers[update] = new_centers
+        going = (shift >= TOL) & (iterations[update] < MAX_ITER)
+        relabel.extend(update[~going & (shift != 0.0)])
+        running = update[going]
+        del labels, new_centers, diff   # the next label pass runs without them
     # Final assignments consistent with the returned centers.  Centers that
     # did not move give the last iteration's labels again.
     if relabel:
         _label_pass(free_x, centers, free_labels, np.array(relabel))
-    del onehot, shown, free_x
+    del onehot, flat, free_x
     for r in range(n_runs):
         labels = np.empty(x.shape[0], dtype=np.int64)
         labels[anchor_rows] = anchor_cluster
@@ -198,6 +240,12 @@ def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ParameterError(f"data must be 2-D, got shape {x.shape}")
+    if isinstance(k, (bool, np.bool_)):
+        raise ParameterError(f"k must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ParameterError(f"k must be an integer, got {k!r}") from None
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
@@ -227,14 +275,16 @@ def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
             f"{n_free_clusters} free clusters but only {free_x.shape[0]} free rows"
         )
     x_sq = np.einsum("nc,nc->n", x, x)
+    # |x|^2 is finite unless a value is non-finite or the square overflows.
+    if not np.isfinite(x_sq).all() and not np.isfinite(x).all():
+        raise DataError("data must be finite")
     free_sq = x_sq[free_idx]
 
-    starts = np.array([
-        np.vstack([anchor_centers,
-                   _plusplus_init(free_x, free_sq, n_free_clusters,
-                                  rng_for(seed, "kmeans", run), anchor_centers)])
-        for run in range(N_INIT)
-    ])
+    starts = np.empty((N_INIT, k, x.shape[1]))
+    starts[:, :n_anchor_clusters] = anchor_centers
+    rngs = [rng_for(seed, "kmeans", run) for run in range(N_INIT)]
+    starts[:, n_anchor_clusters:] = free_x[
+        _plusplus_init(free_x, free_sq, n_free_clusters, rngs, anchor_centers)]
     del free_x, free_sq
     # min keeps the first of equal inertias.
     return min(_lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx),

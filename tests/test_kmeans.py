@@ -9,10 +9,12 @@ import pytest
 
 from transfercluster import distances
 from transfercluster.dataset import synth_mixture
-from transfercluster.errors import DataError, ParameterError
+from transfercluster.errors import DataError, NumericalError, ParameterError
 from transfercluster.kmeans import (
-    KmeansResult, _exact_inertia, _label_pass, _lloyd, constrained_kmeans, kmeans,
+    KmeansResult, _exact_inertia, _label_pass, _lloyd, _plusplus_init, constrained_kmeans,
+    kmeans,
 )
+from transfercluster.seeding import rng_for
 
 KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
 from transfercluster.metrics import clustering_accuracy
@@ -88,6 +90,29 @@ def sequential_lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k)
     if shift != 0.0:
         labels = sequential_labels(x, centers, anchor_rows, anchor_cluster)
     return KmeansResult(centers, labels, _exact_inertia(x, centers, labels), iterations)
+
+
+def sequential_plusplus_init(x, x_sq, n_new, rng, existing):
+    """Oracle: one restart's k-means++ seeding drawn on its own, each draw
+    through ``rng.choice`` and each D^2 update through one single-center
+    :func:`distances.expanded` call."""
+    n = x.shape[0]
+    chosen = np.empty((n_new, x.shape[1]))
+    d2 = distances.expanded(x, existing, x_sq).min(axis=1) if len(existing) else np.full(n, np.inf)
+    for j in range(n_new):
+        if j == 0 and not len(existing):
+            idx = int(rng.integers(n))
+        else:
+            total = d2.sum()
+            if total == 0:
+                raise ParameterError(
+                    f"{n_new} free clusters but only {j} distinct free positions "
+                    "off the anchor centers"
+                )
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen[j] = x[idx]
+        d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1], x_sq)[:, 0])
+    return chosen
 
 
 def assert_fits_equal(a, b):
@@ -168,6 +193,43 @@ class TestKmeans:
         x = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3)
         with pytest.raises(ParameterError, match="only 2 distinct"):
             kmeans(x, 3, seed=0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_non_integer_k_rejected(self, k):
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            kmeans(x, k, seed=0)
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            constrained_kmeans(x, k, np.full(10, -1), seed=0)
+
+    def test_numpy_integer_k_accepted(self):
+        x = np.random.default_rng(0).normal(size=(10, 2))
+        assert_fits_equal(kmeans(x, np.int64(3), seed=0), kmeans(x, 3, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_non_finite_data_rejected(self, bad, k, anchored):
+        """Before this check, k = 1 returned NaN centers and inertia, and
+        k >= 2 raised numpy's own error from the seeding draw."""
+        x = np.random.default_rng(0).normal(size=(12, 2))
+        x[7, 1] = bad
+        pinned = np.full(12, -1)
+        if anchored:
+            pinned[:2] = 0
+        with pytest.raises(DataError, match="finite"):
+            constrained_kmeans(x, k, pinned, seed=0)
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_overflowing_seeding_distances_raise(self, anchored):
+        """Finite rows near 1e160 overflow |x|^2, so no D^2 draw exists."""
+        x = np.random.default_rng(1).normal(size=(12, 3)) * 1e160
+        pinned = np.full(12, -1)
+        if anchored:
+            pinned[:2] = 0
+        with pytest.raises(NumericalError, match="overflow"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            constrained_kmeans(x, 3, pinned, seed=0)
 
     def test_every_cluster_used_when_k_near_n(self):
         """Empty-cluster repair keeps all k clusters populated."""
@@ -303,6 +365,59 @@ class TestConstrainedKmeans:
         b = constrained_kmeans(x, 3, pinned, seed=13)
         np.testing.assert_array_equal(a.centers, b.centers)
         np.testing.assert_array_equal(a.assignment, b.assignment)
+
+
+class TestLockstepSeeding:
+    """:func:`_plusplus_init` seeds every restart in lockstep; each restart's
+    seeds and generator state equal those of the same generator drawn on
+    its own by :func:`sequential_plusplus_init`."""
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (7, 2), (16, 5), (40, 33), (300, 64)])
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_every_restart_matches_the_sequential_oracle(self, n, d, anchored):
+        rng = np.random.default_rng(n * d)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        x_sq = np.einsum("nc,nc->n", x, x)
+        existing = x[:3] + rng.normal(size=(3, d)) if anchored else np.empty((0, d))
+        for n_new in (range(1, n + 1) if n <= 40 else (1, 2, 17, 64, n)):
+            rngs = [rng_for(n_new, "seeding", run) for run in range(KMEANS.N_INIT)]
+            chosen = _plusplus_init(x, x_sq, n_new, rngs, existing)
+            assert chosen.shape == (KMEANS.N_INIT, n_new)
+            for run, (lockstep_rng, idx) in enumerate(zip(rngs, chosen)):
+                alone = rng_for(n_new, "seeding", run)
+                expected = sequential_plusplus_init(x, x_sq, n_new, alone, existing)
+                np.testing.assert_array_equal(x[idx], expected)
+                assert lockstep_rng.bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_duplicate_positions_raise_the_oracle_message(self, anchored):
+        x = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3)
+        x_sq = np.einsum("nc,nc->n", x, x)
+        existing = x[:1] if anchored else np.empty((0, 2))
+        n_new = 2 if anchored else 3
+        with pytest.raises(ParameterError) as oracle:
+            sequential_plusplus_init(x, x_sq, n_new, rng_for(0, "seeding"), existing)
+        rngs = [rng_for(0, "seeding", run) for run in range(KMEANS.N_INIT)]
+        with pytest.raises(ParameterError) as lockstep:
+            _plusplus_init(x, x_sq, n_new, rngs, existing)
+        assert str(lockstep.value) == str(oracle.value)
+        assert f"only {n_new - 1} distinct" in str(oracle.value)
+
+    def test_draw_is_generator_choice(self):
+        """The lockstep draw, ``cumsum(p) / last`` searched at one
+        ``rng.random()``, is what ``Generator.choice(n, p=p)`` does: same
+        index and same generator state, zero weights included."""
+        weights = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(weights.integers(1, 60))
+            w = weights.random(n) * (weights.random(n) < 0.6)
+            w[weights.integers(n)] += 0.5
+            p = w / w.sum()
+            chooser, drawer = rng_for(trial, "choice"), rng_for(trial, "choice")
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            assert chooser.choice(n, p=p) == cdf.searchsorted(drawer.random(), side="right")
+            assert chooser.bit_generator.state == drawer.bit_generator.state
 
 
 def _pinned_argmin(x, centers, anchor_rows, anchor_cluster):
