@@ -92,10 +92,11 @@ def sequential_lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k)
     return KmeansResult(centers, labels, _exact_inertia(x, centers, labels), iterations)
 
 
-def sequential_plusplus_init(x, x_sq, n_new, rng, existing):
+def sequential_plusplus_init(x, x_sq, n_new, rng, existing, probabilities=None):
     """Oracle: one restart's k-means++ seeding drawn on its own, each draw
     through ``rng.choice`` and each D^2 update through one single-center
-    :func:`distances.expanded` call."""
+    :func:`distances.expanded` call.  Each draw's ``p`` is appended to
+    ``probabilities`` when given."""
     n = x.shape[0]
     chosen = np.empty((n_new, x.shape[1]))
     d2 = distances.expanded(x, existing, x_sq).min(axis=1) if len(existing) else np.full(n, np.inf)
@@ -109,7 +110,10 @@ def sequential_plusplus_init(x, x_sq, n_new, rng, existing):
                     f"{n_new} free clusters but only {j} distinct free positions "
                     "off the anchor centers"
                 )
-            idx = int(rng.choice(n, p=d2 / total))
+            p = d2 / total
+            if probabilities is not None:
+                probabilities.append(p)
+            idx = int(rng.choice(n, p=p))
         chosen[j] = x[idx]
         d2 = np.minimum(d2, distances.expanded(x, chosen[j : j + 1], x_sq)[:, 0])
     return chosen
@@ -388,6 +392,40 @@ class TestLockstepSeeding:
                 expected = sequential_plusplus_init(x, x_sq, n_new, alone, existing)
                 np.testing.assert_array_equal(x[idx], expected)
                 assert lockstep_rng.bit_generator.state == alone.bit_generator.state
+
+    @pytest.mark.parametrize("n, d", [(40, 33), (300, 64)])
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_every_draw_has_the_oracle_probabilities(self, monkeypatch, n, d, anchored):
+        """An ulp of drift in D^2 rarely moves a draw, so equal seeds alone
+        would not show it: each draw's probabilities, as ``np.cumsum``
+        receives them, must equal the oracle's ``p`` bit for bit."""
+        drawn = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cumsum(a, *args, **kwargs):
+                drawn.append(a.copy())
+                return np.cumsum(a, *args, **kwargs)
+
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        x_sq = np.einsum("nc,nc->n", x, x)
+        existing = x[:3] + rng.normal(size=(3, d)) if anchored else np.empty((0, d))
+        n_new = 20
+        monkeypatch.setattr(KMEANS, "np", RecordingNumpy())
+        _plusplus_init(x, x_sq, n_new, [rng_for(0, "seeding", run) for run in range(KMEANS.N_INIT)],
+                       existing)
+        monkeypatch.undo()
+        assert len(drawn) == n_new - (not anchored)
+        for run in range(KMEANS.N_INIT):
+            expected = []
+            sequential_plusplus_init(x, x_sq, n_new, rng_for(0, "seeding", run), existing,
+                                     expected)
+            for lockstep, p in zip(drawn, expected, strict=True):
+                np.testing.assert_array_equal(lockstep[run], p)
 
     @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
     def test_duplicate_positions_raise_the_oracle_message(self, anchored):
