@@ -23,8 +23,8 @@ centroid sums are each restart's own ``onehot.T @ x``, and the division,
 empty test and shift run elementwise or per row over all restarts at
 once, so off ties every restart ends with the centers, assignment,
 inertia and iteration count it reaches run on its own.  Non-finite data
-raises :class:`DataError`; data whose squared norms overflow raises
-:class:`NumericalError` in the seeding.
+raises :class:`DataError`, and a k-means++ draw whose D^2 total
+overflows raises :class:`NumericalError`.
 """
 
 import operator
