@@ -11,7 +11,6 @@ import numpy as np
 
 from transfercluster import (
     EnsembleState,
-    RampSchedule,
     ema_corrected,
     ema_update,
     perturb,
@@ -36,9 +35,9 @@ for _ in range(50):
     state = ema_update(state, constant)
 print("corrected after 50 steps:", np.round(ema_corrected(state)[0], 12).tolist())
 
-schedule = RampSchedule(total_ramp_steps=60)
+ramp_epochs = 60
 checkpoints = [0, 15, 30, 45, 60, 90]
-print("\nconsistency ramp:", {t: round(ramp_weight(schedule, t), 4) for t in checkpoints})
+print("\nconsistency ramp:", {t: round(ramp_weight(ramp_epochs, t), 4) for t in checkpoints})
 
 x = np.zeros((2000, 10))
 noisy = perturb(x, magnitude=0.1, seed=4, step=0)

@@ -53,7 +53,6 @@ from .metrics import (
 )
 from .regularizers import (
     EnsembleState,
-    RampSchedule,
     ema_corrected,
     ema_update,
     perturb,

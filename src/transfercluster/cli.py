@@ -4,8 +4,8 @@ Every command writes one manifest next to its outputs; ``rerun`` checks
 that the manifest's input files are unchanged, replays it and reproduces
 the outputs byte for byte.  Exit codes: 0 on success, 1 for usage errors,
 2 for data or validation errors, 3 for numerical failures.  The
-DTC_THREADS environment variable caps worker threads for ``estimate-k``
-and ``sweep``.
+DTC_THREADS environment variable, a positive integer, caps worker
+threads for ``estimate-k``, ``cluster --auto-k`` and ``sweep``.
 """
 
 import argparse
@@ -31,7 +31,6 @@ from .errors import DataError, NumericalError, ParameterError
 from .estimator import default_threads, estimate_class_count, parallel_map, sweep_report_to_csv
 from .manifest import file_digest, read_manifest, write_manifest
 from .metrics import count_error, evaluate_clustering
-from .regularizers import RampSchedule
 from .trainer import VARIANTS, TrainConfig, initialize, train
 
 
@@ -121,14 +120,14 @@ def cmd_pretrain(ns, argv):
     print(f"wrote {encoder_path}")
 
 
-def _estimate(ns, encoder, data):
+def _estimate(ns, encoder, data, threads):
     """Count estimate for ``data`` with the probe file and split flags in ``ns``."""
     probe = load_labeled(ns.probe, ns.format)
     split = split_probes(probe, ns.n_probe, ns.anchor_ratio, ns.seed)
     embedded_probe = LabeledSet(forward(encoder, probe.features), probe.labels)
     return estimate_class_count(
         embedded_probe, forward(encoder, data), split,
-        ns.k_max, ns.tau, ns.seed, threads=default_threads(),
+        ns.k_max, ns.tau, ns.seed, threads=threads,
     )
 
 
@@ -136,7 +135,7 @@ def _train_config(ns, k):
     return TrainConfig(
         k=k, variant=ns.variant, warmup_epochs=ns.warmup, main_epochs=ns.epochs,
         batch_size=ns.batch_size, learning_rate=ns.lr, ema_momentum=ns.ema_momentum,
-        ramp=RampSchedule(ns.ramp) if ns.ramp is not None else None,
+        ramp=ns.ramp,
         perturb_sigma=ns.sigma, seed=ns.seed, bottleneck_dim=ns.bottleneck,
     )
 
@@ -149,16 +148,17 @@ def _run_cluster(encoder, data, config):
 def cmd_cluster(ns, argv):
     if ns.auto_k and not ns.probe:
         raise ParameterError("--auto-k needs --probe")
-    # The training settings are checked before any work; --auto-k sets k
-    # once the count estimate is known.
+    # The training settings and thread cap are checked before any work;
+    # --auto-k sets k once the count estimate is known.
     config = _train_config(ns, 2 if ns.auto_k else ns.k)
+    threads = default_threads() if ns.auto_k else 1
     encoder = load_encoder(ns.encoder)
     data = load_features(ns.data, ns.format)
     out = _out_dir(ns)
     inputs = {"encoder": ns.encoder, "data": ns.data}
     outputs = {}
     if ns.auto_k:
-        report = _estimate(ns, encoder, data)
+        report = _estimate(ns, encoder, data, threads)
         sweep_path = out / "auto_k_sweep.csv"
         sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
         print(f"estimated k_final={report.k_final} (k_hat={report.k_hat})")
@@ -199,8 +199,9 @@ def _read_truth(path, ids):
 
 
 def cmd_estimate_k(ns, argv):
+    threads = default_threads()
     encoder = load_encoder(ns.encoder)
-    report = _estimate(ns, encoder, load_features(ns.data, ns.format))
+    report = _estimate(ns, encoder, load_features(ns.data, ns.format), threads)
     out = _out_dir(ns)
     sweep_path = out / "sweep.csv"
     sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
@@ -256,6 +257,7 @@ def cmd_sweep(ns, argv):
         raise ParameterError("bottleneck sweep needs --k")
     if not ns.truth:
         raise ParameterError("sweep needs --truth to score each point")
+    threads = default_threads()
     encoder = load_encoder(ns.encoder)
     data = load_features(ns.data, ns.format)
     truth = _read_truth(ns.truth, data.ids)
@@ -272,7 +274,7 @@ def cmd_sweep(ns, argv):
         report = evaluate_clustering(truth, trace.assignments)
         return value, report.acc, report.nmi
 
-    rows = parallel_map(run_point, values, default_threads())
+    rows = parallel_map(run_point, values, threads)
     out = _out_dir(ns)
     table_path = out / "sweep_results.csv"
     _write_rows(table_path, "value,acc,nmi", rows)

@@ -13,6 +13,7 @@ their index as id.
 """
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ from .seeding import rng_for
 FORMATS = ("csv", "binary")
 _BINARY_MAGIC = b"DTCF"
 _BINARY_VERSION = 1
+_MAX_BINARY_LABEL = 2**32 - 1   # labels are stored as u32
+# A comma, or any character str.splitlines breaks a line at.
+_ID_BREAKS = re.compile("[,\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,14 @@ def save_features(path, features: FeatureMatrix, format: str = "csv",
             raise ParameterError("labels length does not match rows")
         if (labels < 0).any():
             raise ParameterError("binary/CSV labels must be non-negative")
+        if format == "binary" and (labels > _MAX_BINARY_LABEL).any():
+            raise ParameterError(f"binary labels must be at most {_MAX_BINARY_LABEL}")
     if format == "csv":
+        # A comma or line break in an id would split its record on reading.
+        # One scan of the joined ids; only a refused id is looked for singly.
+        if _ID_BREAKS.search("".join(features.ids)):
+            bad = next(i for i in features.ids if _ID_BREAKS.search(i))
+            raise ParameterError(f"CSV id {bad!r} holds a comma or line break")
         dim = features.dim
         cols = ["id"] + [f"f{j}" for j in range(dim)] + (["label"] if labels is not None else [])
         with open(path, "w", encoding="utf-8") as fh:

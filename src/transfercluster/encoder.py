@@ -321,14 +321,16 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
     n, input_dim = x.shape
 
     layers = _init_trunk(input_dim, config, x, seed)
-    encoder = EncoderParams(layers, None, input_dim)
-    trunk_dim = encoder.trunk_output_dim
+    trunk = EncoderParams(layers, None, input_dim)
+    trunk_dim = trunk.trunk_output_dim
     rng = rng_for(seed, "pretrain-head")
     limit = np.sqrt(6.0 / (trunk_dim + n_classes))
     head_w = rng.uniform(-limit, limit, size=(n_classes, trunk_dim))
     head_b = np.zeros(n_classes)
+    # The softmax head trains as the affine head over the trunk's own arrays.
+    classifier = EncoderParams(layers, (head_w, head_b), input_dim)
 
-    opt = _SgdMomentum([*encoder.arrays(), head_w, head_b], config.learning_rate)
+    opt = _SgdMomentum(classifier.arrays(), config.learning_rate)
     batch_size = min(config.batch_size, n)
     losses = []
     for epoch in range(config.epochs):
@@ -338,10 +340,8 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
             xb, yb = x[rows], y[rows]
-            trace = _forward_trace(encoder, xb)
-            trunk_out = trace[0]
-            logits = trunk_out @ head_w.T + head_b
-            probs = _softmax(logits)
+            trace = _forward_trace(classifier, xb)
+            probs = _softmax(trace[0])
             batch_n = len(rows)
             loss = -np.log(probs[np.arange(batch_n), yb] + 1e-300).mean()
             epoch_loss += loss
@@ -349,15 +349,13 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
             dlogits = probs.copy()
             dlogits[np.arange(batch_n), yb] -= 1.0
             dlogits /= batch_n
-            grad_head_w = dlogits.T @ trunk_out
-            grad_head_b = dlogits.sum(axis=0)
-            grads_enc, _ = _backward(encoder, trace, dlogits @ head_w)
-            opt.step([*grads_enc.arrays(), grad_head_w, grad_head_b])
+            grads, _ = _backward(classifier, trace, dlogits)
+            opt.step(grads.arrays())
         mean_loss = epoch_loss / n_batches
         if not np.isfinite(mean_loss):
             raise NumericalError(f"pretraining diverged at epoch {epoch}")
         losses.append(float(mean_loss))
-    return PretrainResult(encoder, head_w, head_b, losses)
+    return PretrainResult(trunk, *classifier.bottleneck, losses)
 
 
 def pretrain_encoder(labeled: LabeledSet, config: PretrainConfig | None = None,

@@ -60,11 +60,14 @@ class EstimationReport:
 
 
 def default_threads() -> int:
-    """Worker cap from the DTC_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("DTC_THREADS", "1")))
-    except ValueError:
+    """Worker cap from the DTC_THREADS environment variable: 1 when unset
+    or empty, otherwise a positive integer, else a ParameterError."""
+    value = os.environ.get("DTC_THREADS", "")
+    if not value:
         return 1
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise ParameterError(f"DTC_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def parallel_map(fn, items, workers: int) -> list:

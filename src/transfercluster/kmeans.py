@@ -191,19 +191,14 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
             flat[shown] = 1.0
             np.matmul(onehot.T, x, out=new_centers[u])
         new_centers /= np.maximum(counts, 1)[:, :, None]
-        # Empty clusters reseed at the free point farthest from its center.
+        # Empty clusters, in index order, reseed at the free points farthest
+        # from their centers, first row first on ties; only free clusters empty.
         empty = counts == 0
         repair_free[update] = ~empty.any(axis=1)
         for u in np.flatnonzero(~repair_free[update]):
             d2 = distances.expanded(x, centers[update[u]], x_sq)[free_idx, labels[u]]
-            taken = np.zeros(free_idx.size, dtype=bool)
-            for j in np.flatnonzero(empty[u]):
-                candidates = np.flatnonzero(~taken)
-                if candidates.size == 0:
-                    raise ParameterError("not enough free rows to repair empty clusters")
-                pick = candidates[np.argmax(d2[candidates])]
-                new_centers[u, j] = free_x[pick]
-                taken[pick] = True
+            holes = np.flatnonzero(empty[u])
+            new_centers[u, holes] = free_x[np.argsort(-d2, kind="stable")[:holes.size]]
         diff = centers[update]
         np.subtract(new_centers, diff, out=diff)
         diff *= diff
@@ -250,6 +245,8 @@ def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     pinned = np.asarray(pinned)
+    if pinned.dtype == bool:
+        raise ParameterError("pinned must hold cluster ids or -1, not booleans")
     if pinned.shape != (n,):
         raise ParameterError(f"pinned must have shape ({n},), got {pinned.shape}")
     if not (pinned == np.trunc(pinned)).all():

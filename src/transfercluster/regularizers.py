@@ -58,22 +58,13 @@ def ema_corrected(state: EnsembleState) -> np.ndarray:
     return state.accumulated / (1.0 - state.momentum ** state.step)
 
 
-@dataclass(frozen=True)
-class RampSchedule:
-    """Smooth ramp from exp(-5) at step 0 up to 1 at ``total_ramp_steps``."""
-
-    total_ramp_steps: int
-
-    def __post_init__(self):
-        if self.total_ramp_steps < 1:
-            raise ParameterError("total_ramp_steps must be positive")
-
-
-def ramp_weight(schedule: RampSchedule, t: int) -> float:
-    """Consistency weight at step t: exp(-5 (1 - min(t, T)/T)^2)."""
+def ramp_weight(length: int, t: int) -> float:
+    """Consistency weight at epoch t of an L-epoch ramp: exp(-5 (1 - min(t, L)/L)^2)."""
+    if length < 1:
+        raise ParameterError(f"ramp length must be at least 1 epoch, got {length}")
     if t < 0:
         raise ParameterError("ramp step must be non-negative")
-    frac = min(t, schedule.total_ramp_steps) / schedule.total_ramp_steps
+    frac = min(t, length) / length
     return float(np.exp(-5.0 * (1.0 - frac) ** 2))
 
 

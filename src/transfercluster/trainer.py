@@ -59,7 +59,6 @@ from .errors import DegenerateClusterError, ParameterError
 from .kmeans import kmeans
 from .regularizers import (
     EnsembleState,
-    RampSchedule,
     ema_corrected,
     ema_update,
     perturb,
@@ -79,7 +78,7 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.05
     ema_momentum: float = 0.6
-    ramp: RampSchedule | None = None
+    ramp: int | None = None             # epochs; default warm-up + main // 2
     perturb_sigma: float = 0.1
     seed: int = 0
     bottleneck_dim: int | None = None   # defaults to k
@@ -101,15 +100,17 @@ class TrainConfig:
                 f"perturb sigma must be non-negative and finite, got {self.perturb_sigma}")
         if not 0.0 <= self.ema_momentum < 1.0:
             raise ParameterError(f"ema momentum must be in [0, 1), got {self.ema_momentum}")
+        if self.ramp is not None and self.ramp < 1:
+            raise ParameterError(f"ramp length must be at least 1 epoch, got {self.ramp}")
 
     @property
     def c(self) -> int:
         return self.bottleneck_dim if self.bottleneck_dim is not None else self.k
 
-    def ramp_schedule(self) -> RampSchedule:
+    def ramp_schedule(self) -> int:
         if self.ramp is not None:
             return self.ramp
-        return RampSchedule(max(1, self.warmup_epochs + self.main_epochs // 2))
+        return max(1, self.warmup_epochs + self.main_epochs // 2)
 
 
 @dataclass

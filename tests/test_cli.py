@@ -200,7 +200,7 @@ class TestCluster:
         assert run(command, "--encoder", encoder_path,
                    "--data", synth_dir / "unlabeled.csv", *extra, "--ramp", 0,
                    "--warmup", 1, "--epochs", 1, "--out-dir", tmp_path / "x") == 1
-        assert "total_ramp_steps must be positive" in capsys.readouterr().err
+        assert "ramp length must be at least 1 epoch, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
         (("--variant", "baseline", "--sigma", -1), "perturb sigma must be non-negative"),
@@ -530,6 +530,26 @@ def test_worker_threads_leave_outputs_unchanged(synth_dir, encoder_path, tmp_pat
     assert run(*args, "--out-dir", threaded) == 0
     for name in outputs:
         assert digest(serial / name) == digest(threaded / name)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", " 2", "\u0662"])
+@pytest.mark.parametrize("command", ["estimate-k", "cluster-auto-k", "sweep"])
+def test_malformed_worker_threads_is_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                 value):
+    """A DTC_THREADS that is set but not a positive integer exits 1 before
+    any file is read: every input path here is missing, which would exit 2."""
+    missing = tmp_path / "missing"
+    flags = {
+        "estimate-k": ("estimate-k", "--probe", missing),
+        "cluster-auto-k": ("cluster", "--auto-k", "--probe", missing),
+        "sweep": ("sweep", "--truth", missing, "--sweep", "k", "--values", "2"),
+    }[command]
+    monkeypatch.setenv("DTC_THREADS", value)
+    assert run(*flags, "--encoder", missing, "--data", missing,
+               "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        f"error: DTC_THREADS must be a positive integer, got {value!r}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["estimate-k", "cluster"])

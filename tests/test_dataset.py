@@ -1,11 +1,13 @@
 """Tests for dataset loading, formats, probe splits, and synthesis."""
 
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from transfercluster import dataset
 from transfercluster.dataset import (
     FeatureMatrix,
     LabeledSet,
@@ -130,6 +132,33 @@ class TestCsvFormat:
             tracemalloc.stop()
         assert peak <= budget
 
+    @pytest.mark.parametrize("bad", ["a,x", "a\nx", "a\r", "\x0bx", "\x1e", "a\x85",
+                                     "a\u2028x"])
+    def test_id_that_would_split_its_record_rejected(self, tmp_path, bad):
+        fm = FeatureMatrix(np.zeros((2, 1)), ("ok", bad))
+        path = tmp_path / "f.csv"
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            save_features(path, fm, "csv")
+        assert not path.exists()
+
+    def test_refused_id_characters_are_the_comma_and_line_breaks(self):
+        breaks = {c for c in map(chr, range(0x3000)) if len(f"a{c}a".splitlines()) > 1}
+        refused = {c for c in map(chr, range(0x3000)) if dataset._ID_BREAKS.search(c)}
+        assert refused == breaks | {","}
+
+    def test_legal_ids_round_trip(self, tmp_path):
+        ids = ("", " ", "a b", "tab\there", "semi;colon", '"quoted"', "\u00fcml\u00e4ut")
+        fm = FeatureMatrix(np.arange(7.0)[:, None], ids)
+        path = tmp_path / "f.csv"
+        save_features(path, fm, "csv")
+        assert load_features(path, "csv").ids == ids
+
+    def test_labels_above_u32_kept(self, tmp_path):
+        fm = FeatureMatrix(np.zeros((2, 1)), ("a", "b"))
+        path = tmp_path / "f.csv"
+        save_features(path, fm, "csv", labels=[2**32, 1])
+        np.testing.assert_array_equal(load_labeled(path, "csv").labels, [1, 0])
+
     def test_sparse_label_values_get_compacted(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,f0,label\na,1.0,7\nb,2.0,7\nc,3.0,9\n")
@@ -146,6 +175,15 @@ class TestBinaryFormat:
         save_features(path, fm, "binary", labels=np.sort(labels))
         back = load_labeled(path, "binary")
         np.testing.assert_array_equal(back.features.values, fm.values)
+
+    def test_label_above_u32_rejected(self, tmp_path):
+        """u32 storage would write 2**32 as 0 and swap the two classes."""
+        fm = FeatureMatrix(np.zeros((2, 1)), ("a", "b"))
+        path = tmp_path / "f.dtcf"
+        with pytest.raises(ParameterError, match="at most 4294967295"):
+            save_features(path, fm, "binary", labels=[2**32, 1])
+        save_features(path, fm, "binary", labels=[2**32 - 1, 1])
+        np.testing.assert_array_equal(load_labeled(path, "binary").labels, [1, 0])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.dtcf"

@@ -14,6 +14,7 @@ from transfercluster.errors import ParameterError
 from transfercluster.estimator import (
     UNDEFINED_CVI,
     EstimationReport,
+    default_threads,
     estimate_class_count,
     sweep_report_to_csv,
 )
@@ -145,6 +146,15 @@ class TestEstimateClassCount:
         assert [p.inertia for p in serial.sweep] == [p.inertia for p in threaded.sweep]
         assert sweep_report_to_csv(serial) == sweep_report_to_csv(threaded)
         np.testing.assert_array_equal(serial.final_assignment, threaded.final_assignment)
+
+
+@pytest.mark.parametrize("value,threads", [(None, 1), ("", 1), ("1", 1), ("3", 3), ("08", 8)])
+def test_default_threads_reads_a_positive_integer(monkeypatch, value, threads):
+    if value is None:
+        monkeypatch.delenv("DTC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DTC_THREADS", value)
+    assert default_threads() == threads
 
 
 class TestSweepReportCsv:

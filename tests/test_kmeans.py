@@ -303,6 +303,12 @@ class TestConstrainedKmeans:
             constrained_kmeans(np.random.default_rng(0).normal(size=(6, 2)), 3,
                                [0, 1, bad, -1, -1, -1], seed=0)
 
+    def test_bool_pins_rejected(self):
+        """False would read as cluster 0 and pin every row."""
+        x = np.random.default_rng(0).normal(size=(6, 2))
+        with pytest.raises(ParameterError, match="not booleans"):
+            constrained_kmeans(x, 2, np.array([True, False, False, True, False, False]))
+
     def test_integer_valued_float_pins_accepted(self):
         x = np.random.default_rng(0).normal(size=(6, 2))
         as_float = constrained_kmeans(x, 3, np.array([0.0, 1.0, 2.0, -1.0, -1.0, -1.0]), seed=0)
@@ -569,6 +575,35 @@ class TestLockstep:
         for fit, expected in zip(fits, oracle):
             assert_fits_equal(fit, expected)
             np.testing.assert_array_equal(fit.assignment[anchor_rows], anchor_cluster)
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_repair_ties_take_the_first_farthest_rows(self, anchored):
+        """Every free row starts in one cluster, and 36 of them tie as the
+        farthest: three copies of 12 ring points at squared distance 25
+        from the origin center, after two nearer rows.  Far start centers
+        empty up to four clusters at once.  The oracle repairs empty
+        clusters in index order, each at the first farthest row not yet
+        taken.  numpy's unstable argsort of these 40 distances (numpy 2.4,
+        x86-64) puts the ring's second point before its first."""
+        ring = np.array([[3, 4], [4, 3], [-3, 4], [-4, 3], [3, -4], [4, -3],
+                         [-3, -4], [-4, -3], [5, 0], [-5, 0], [0, 5], [0, -5]], dtype=float)
+        x = np.vstack([[[1, 0], [0, 1]], ring, ring, ring, [[-1, 0], [0, -1]]])
+        anchor_rows = anchor_cluster = np.array([], dtype=np.int64)
+        if anchored:
+            x = np.vstack([[[0.0, 0.5], [0.0, -0.5]], x])
+            anchor_rows, anchor_cluster = np.arange(2), np.zeros(2, dtype=np.int64)
+        free_idx = np.arange(anchor_rows.size, x.shape[0])
+        x_sq = np.einsum("nc,nc->n", x, x)
+        far = np.array([[1e3, 0], [0, 1e3], [-1e3, 0], [0, -1e3]])
+        starts = np.zeros((3, 5, 2))
+        starts[:, 1:] = far
+        starts[1, 1:3] = [[0.5, 0.5], [0.5, -0.5]]   # two empty clusters
+        starts[2, 1] = -0.5, 0.5                      # three empty clusters
+        oracle = [sequential_lloyd(x, x_sq, start, anchor_rows, anchor_cluster, free_idx, 5)
+                  for start in starts]
+        fits = list(_lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx))
+        for fit, expected in zip(fits, oracle):
+            assert_fits_equal(fit, expected)
 
     def test_unmoved_labels_after_a_repair_are_not_convergence(self):
         """The repair puts cluster 2 on a copy of (0, 0), whose rows stay

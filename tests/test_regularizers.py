@@ -6,7 +6,6 @@ import pytest
 from transfercluster.errors import ParameterError
 from transfercluster.regularizers import (
     EnsembleState,
-    RampSchedule,
     ema_corrected,
     ema_update,
     perturb,
@@ -79,18 +78,21 @@ class TestEmaCorrected:
 
 class TestRampWeight:
     def test_formula_endpoints(self):
-        schedule = RampSchedule(80)
-        assert ramp_weight(schedule, 0) == pytest.approx(np.exp(-5.0), abs=1e-12)
-        assert ramp_weight(schedule, 40) == pytest.approx(np.exp(-1.25), abs=1e-12)
-        assert ramp_weight(schedule, 80) == 1.0
-        assert ramp_weight(schedule, 500) == 1.0
+        assert ramp_weight(80, 0) == pytest.approx(np.exp(-5.0), abs=1e-12)
+        assert ramp_weight(80, 40) == pytest.approx(np.exp(-1.25), abs=1e-12)
+        assert ramp_weight(80, 80) == 1.0
+        assert ramp_weight(80, 500) == 1.0
 
     def test_nondecreasing_and_bounded(self):
-        schedule = RampSchedule(33)
-        values = [ramp_weight(schedule, t) for t in range(0, 34)]
+        values = [ramp_weight(33, t) for t in range(0, 34)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] >= np.exp(-5.0) - 1e-15
         assert values[-1] <= 1.0
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_length_below_one_rejected(self, length):
+        with pytest.raises(ParameterError, match="ramp length must be at least 1 epoch"):
+            ramp_weight(length, 0)
 
 
 class TestPerturb:

@@ -123,9 +123,9 @@ class TestTrain:
         built = built_targets(monkeypatch)
         built_before_epoch = []
 
-        def ramp(schedule, epoch):
+        def ramp(length, epoch):
             built_before_epoch.append(len(built))
-            return ramp_weight(schedule, epoch)
+            return ramp_weight(length, epoch)
 
         monkeypatch.setattr(trainer, "ramp_weight", ramp)
         train(ready, protos, unlabeled, config)
