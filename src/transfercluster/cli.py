@@ -65,11 +65,14 @@ def _read_id_value_file(path, column):
         if parts[0] in mapping:
             raise DataError(f"{path}: line {lineno}: repeated id '{parts[0]}'")
         try:
-            mapping[parts[0]] = int(parts[1])
+            value = int(parts[1])
         except ValueError:
             raise DataError(
                 f"{path}: line {lineno}: '{parts[1]}' is not an integer"
             ) from None
+        if not -2**63 <= value < 2**63:
+            raise DataError(f"{path}: line {lineno}: '{parts[1]}' is out of the int64 range")
+        mapping[parts[0]] = value
     if not mapping:
         raise DataError(f"{path}: no rows")
     return mapping

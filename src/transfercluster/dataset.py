@@ -256,7 +256,10 @@ def save_features(path, features: FeatureMatrix, format: str = "csv",
     """Write a feature file; values round-trip exactly through either format."""
     _check_format(format)
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
+        try:
+            labels = np.asarray(labels, dtype=np.int64)
+        except OverflowError:
+            raise ParameterError("labels must be non-negative and below 2**63") from None
         if labels.shape != (features.n_rows,):
             raise ParameterError("labels length does not match rows")
         if (labels < 0).any():

@@ -1,9 +1,9 @@
 """The embedding network: a small dense trunk plus a linear bottleneck.
 
 The trunk is a stack of fully connected tanh layers; the bottleneck is
-an affine map installed from a PCA fit and fine-tuned afterwards like
-any other layer.  Forward and backward passes are plain numpy; backward
-returns exact analytic gradients.
+a linear :class:`LayerParams` installed from a PCA fit and fine-tuned
+afterwards like any other layer.  Forward and backward passes are plain
+numpy; backward returns exact analytic gradients.
 
 ``_forward_trace`` keeps every trunk activation, from the input to the
 trunk output, and ``_backward`` consumes such a trace, so a training
@@ -31,6 +31,8 @@ MOMENTUM = 0.9   # SGD momentum of pretraining and clustering, as in DEC
 
 @dataclass
 class LayerParams:
+    """An affine map ``x @ weights.T + bias``: a trunk layer or a head."""
+
     weights: np.ndarray   # (out, in)
     bias: np.ndarray      # (out,)
 
@@ -42,36 +44,31 @@ class LayerParams:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ParameterError("layer parameters must be finite")
 
+    def copy(self) -> "LayerParams":
+        return LayerParams(self.weights.copy(), self.bias.copy())
+
 
 @dataclass
 class EncoderParams:
-    """Trunk layers plus an optional bottleneck ``(A, b)``."""
+    """Tanh trunk layers plus an optional linear bottleneck, a
+    :class:`LayerParams` or ``None``."""
 
     layers: list[LayerParams]
-    bottleneck: tuple[np.ndarray, np.ndarray] | None
+    bottleneck: LayerParams | None
     input_dim: int
 
     def __post_init__(self):
         dim = self.input_dim
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(self.affine_layers()):
             if layer.weights.shape[1] != dim:
                 raise ParameterError(
                     f"layer {i} expects input dim {layer.weights.shape[1]}, got {dim}"
                 )
             dim = layer.weights.shape[0]
-        if self.bottleneck is not None:
-            a, b = self.bottleneck
-            a = np.asarray(a, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if a.ndim != 2 or b.shape != (a.shape[0],):
-                raise ParameterError("bottleneck must be (A: (c, d), b: (c,))")
-            if a.shape[1] != dim:
-                raise ParameterError(
-                    f"bottleneck expects input dim {a.shape[1]}, trunk emits {dim}"
-                )
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise ParameterError("bottleneck parameters must be finite")
-            self.bottleneck = (a, b)
+
+    def affine_layers(self) -> list[LayerParams]:
+        """The trunk layers, then the bottleneck if installed."""
+        return self.layers + ([self.bottleneck] if self.bottleneck is not None else [])
 
     @property
     def trunk_output_dim(self) -> int:
@@ -82,34 +79,18 @@ class EncoderParams:
     @property
     def output_dim(self) -> int:
         if self.bottleneck is not None:
-            return self.bottleneck[0].shape[0]
+            return self.bottleneck.weights.shape[0]
         return self.trunk_output_dim
 
     def copy(self) -> "EncoderParams":
-        layers = [LayerParams(l.weights.copy(), l.bias.copy()) for l in self.layers]
-        bn = None
-        if self.bottleneck is not None:
-            bn = (self.bottleneck[0].copy(), self.bottleneck[1].copy())
-        return EncoderParams(layers, bn, self.input_dim)
+        bn = self.bottleneck.copy() if self.bottleneck is not None else None
+        return EncoderParams([l.copy() for l in self.layers], bn, self.input_dim)
 
     def arrays(self) -> list[np.ndarray]:
-        """Trainable arrays: bottleneck ``(A, b)`` if installed, then each
-        layer's ``(weights, bias)``; the optimizer updates them in place."""
-        head = list(self.bottleneck) if self.bottleneck is not None else []
-        return head + [a for l in self.layers for a in (l.weights, l.bias)]
-
-
-@dataclass
-class EncoderGradients:
-    """Gradients mirroring the shape of :class:`EncoderParams`."""
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    bottleneck: tuple[np.ndarray, np.ndarray] | None
-
-    def arrays(self) -> list[np.ndarray]:
-        """Gradients in the order of :meth:`EncoderParams.arrays`."""
-        head = list(self.bottleneck) if self.bottleneck is not None else []
-        return head + [g for pair in self.layers for g in pair]
+        """Trainable arrays: the bottleneck's ``(weights, bias)`` if
+        installed, then each layer's; the optimizer updates them in place."""
+        head = [self.bottleneck] if self.bottleneck is not None else []
+        return [a for l in head + self.layers for a in (l.weights, l.bias)]
 
 
 @dataclass
@@ -137,9 +118,8 @@ def _forward_trace(encoder: EncoderParams, x: np.ndarray):
         activations.append(np.tanh(t, out=t))
     h = activations[-1]
     if encoder.bottleneck is not None:
-        a, b = encoder.bottleneck
-        h = h @ a.T
-        h += b
+        h = h @ encoder.bottleneck.weights.T
+        h += encoder.bottleneck.bias
     return h, activations
 
 
@@ -165,7 +145,8 @@ def forward(encoder: EncoderParams, batch):
 def backward(encoder: EncoderParams, batch, upstream: np.ndarray):
     """Backpropagate ``upstream`` (N x output_dim) through the encoder.
 
-    Returns ``(EncoderGradients, input_gradients)``.
+    Returns ``(gradients, input_gradients)``, where ``gradients`` is a
+    list in the order of :meth:`EncoderParams.arrays`.
     """
     x = as_values(batch)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -181,21 +162,19 @@ def _backward(encoder: EncoderParams, trace, upstream: np.ndarray):
     """:func:`backward` through a kept :func:`_forward_trace` of the batch."""
     _, activations = trace
     grad = upstream
-    bottleneck_grads = None
+    head_grads = []
     if encoder.bottleneck is not None:
-        a, _ = encoder.bottleneck
-        bottleneck_grads = (grad.T @ activations[-1], grad.sum(axis=0))
-        grad = grad @ a
+        head_grads = [grad.T @ activations[-1], grad.sum(axis=0)]
+        grad = grad @ encoder.bottleneck.weights
 
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
+    layer_grads = []
     for layer, layer_in, layer_out in zip(reversed(encoder.layers),
                                           reversed(activations[:-1]),
                                           reversed(activations[1:])):
         pre_grad = grad * (1.0 - layer_out * layer_out)
         layer_grads.append((pre_grad.T @ layer_in, pre_grad.sum(axis=0)))
         grad = pre_grad @ layer.weights
-    layer_grads.reverse()
-    return EncoderGradients(layer_grads, bottleneck_grads), grad
+    return head_grads + [g for pair in reversed(layer_grads) for g in pair], grad
 
 
 def fit_pca(features, n_components: int) -> PcaModel:
@@ -231,15 +210,8 @@ def install_bottleneck(encoder: EncoderParams, pca: PcaModel) -> EncoderParams:
     """
     if encoder.bottleneck is not None:
         raise ParameterError("bottleneck already installed")
-    trunk_dim = encoder.trunk_output_dim
-    if pca.components.shape[1] != trunk_dim:
-        raise ParameterError(
-            f"PCA input dim {pca.components.shape[1]} does not match "
-            f"trunk output dim {trunk_dim}"
-        )
-    out = encoder.copy()
-    out.bottleneck = (pca.components.copy(), -pca.components @ pca.mean)
-    return out
+    head = LayerParams(pca.components.copy(), -pca.components @ pca.mean)
+    return EncoderParams([l.copy() for l in encoder.layers], head, encoder.input_dim)
 
 
 @dataclass
@@ -277,8 +249,7 @@ class _SgdMomentum:
 @dataclass
 class PretrainResult:
     encoder: EncoderParams
-    head_weights: np.ndarray
-    head_bias: np.ndarray
+    head: LayerParams   # the softmax head over the trunk output
     epoch_losses: list[float]
 
 
@@ -311,7 +282,10 @@ def _softmax(logits):
 
 def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = None,
                         seed: int = 0) -> PretrainResult:
-    """Train trunk + softmax head with cross-entropy on the labelled set."""
+    """Train trunk + softmax head with cross-entropy on the labelled set.
+
+    The result's ``.encoder`` is the trunk and ``.head`` the softmax head,
+    a :class:`LayerParams` over the trunk output."""
     config = config or PretrainConfig()
     n_classes = labeled.n_classes
     if n_classes < 2:
@@ -328,7 +302,7 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
     head_w = rng.uniform(-limit, limit, size=(n_classes, trunk_dim))
     head_b = np.zeros(n_classes)
     # The softmax head trains as the affine head over the trunk's own arrays.
-    classifier = EncoderParams(layers, (head_w, head_b), input_dim)
+    classifier = EncoderParams(layers, LayerParams(head_w, head_b), input_dim)
 
     opt = _SgdMomentum(classifier.arrays(), config.learning_rate)
     batch_size = min(config.batch_size, n)
@@ -350,12 +324,12 @@ def pretrain_classifier(labeled: LabeledSet, config: PretrainConfig | None = Non
             dlogits[np.arange(batch_n), yb] -= 1.0
             dlogits /= batch_n
             grads, _ = _backward(classifier, trace, dlogits)
-            opt.step(grads.arrays())
+            opt.step(grads)
         mean_loss = epoch_loss / n_batches
         if not np.isfinite(mean_loss):
             raise NumericalError(f"pretraining diverged at epoch {epoch}")
         losses.append(float(mean_loss))
-    return PretrainResult(trunk, *classifier.bottleneck, losses)
+    return PretrainResult(trunk, classifier.bottleneck, losses)
 
 
 def pretrain_encoder(labeled: LabeledSet, config: PretrainConfig | None = None,
@@ -372,18 +346,14 @@ def save_encoder(path, encoder: EncoderParams) -> None:
         for layer in encoder.layers:
             out_dim, in_dim = layer.weights.shape
             fh.write(struct.pack("<IIB", in_dim, out_dim, _TANH_TAG))
-        has_bn = encoder.bottleneck is not None
-        fh.write(struct.pack("<B", 1 if has_bn else 0))
-        if has_bn:
-            a, _ = encoder.bottleneck
-            fh.write(struct.pack("<II", a.shape[1], a.shape[0]))
-        for layer in encoder.layers:
+        bn = encoder.bottleneck
+        fh.write(struct.pack("<B", bn is not None))
+        if bn is not None:
+            out_dim, in_dim = bn.weights.shape
+            fh.write(struct.pack("<II", in_dim, out_dim))
+        for layer in encoder.affine_layers():
             fh.write(layer.weights.astype("<f8").tobytes())
             fh.write(layer.bias.astype("<f8").tobytes())
-        if has_bn:
-            a, b = encoder.bottleneck
-            fh.write(a.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
 
 
 def load_encoder(path) -> EncoderParams:
@@ -417,9 +387,10 @@ def _decode_checkpoint(blob: bytes, path) -> EncoderParams:
         shapes.append((in_dim, out_dim))
     (has_bn,) = struct.unpack_from("<B", blob, offset)
     offset += 1
-    bn_shape = None
+    if has_bn not in (0, 1):
+        raise DataError(f"{path}: bottleneck flag must be 0 or 1, got {has_bn}")
     if has_bn:
-        bn_shape = struct.unpack_from("<II", blob, offset)
+        shapes.append(struct.unpack_from("<II", blob, offset))
         offset += struct.calcsize("<II")
 
     def take(count):
@@ -435,12 +406,7 @@ def _decode_checkpoint(blob: bytes, path) -> EncoderParams:
     for in_dim, out_dim in shapes:
         w = take(in_dim * out_dim).reshape(out_dim, in_dim)
         layers.append(LayerParams(w, take(out_dim)))
-    bottleneck = None
-    if has_bn:
-        d, c = bn_shape
-        a = take(d * c).reshape(c, d)
-        b = take(c)
-        bottleneck = (a, b)
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes")
+    bottleneck = layers.pop() if has_bn else None
     return EncoderParams(layers, bottleneck, int(input_dim))

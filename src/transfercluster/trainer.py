@@ -235,7 +235,7 @@ def train(encoder: EncoderParams, protos: Prototypes, unlabeled,
                 cons_total += closs
             grad_z, grad_centers = _vjp(trace[0], protos.centers, sq, dlogw)
             enc_grads, _ = _backward(enc, trace, grad_z)
-            opt.step([grad_centers, *enc_grads.arrays()])
+            opt.step([grad_centers, *enc_grads])
 
         embeddings = forward(enc, x)
         p_full = soft_assign(embeddings, protos)

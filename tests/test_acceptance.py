@@ -77,7 +77,8 @@ def test_criterion_1_gradient_fidelity():
         enc = EncoderParams(
             [LayerParams(rng.normal(scale=0.4, size=(hidden, d)),
                          rng.normal(scale=0.1, size=hidden))],
-            (rng.normal(scale=0.4, size=(c, hidden)), rng.normal(scale=0.1, size=c)),
+            LayerParams(rng.normal(scale=0.4, size=(c, hidden)),
+                        rng.normal(scale=0.1, size=c)),
             d,
         )
         protos = Prototypes(rng.normal(size=(k, c)))
@@ -91,10 +92,10 @@ def test_criterion_1_gradient_fidelity():
             return kl_loss(q, p) + omega * consistency_loss(p, p_ref)[0]
 
         _, enc_grads, grad_centers = full_loss_and_grads(enc, protos, x, q, p_ref, omega)
-        analytic = [enc_grads.layers[0][0], enc_grads.layers[0][1],
-                    enc_grads.bottleneck[0], enc_grads.bottleneck[1], grad_centers]
-        arrays = [enc.layers[0].weights, enc.layers[0].bias,
-                  enc.bottleneck[0], enc.bottleneck[1], protos.centers]
+        analytic = [*enc_grads, grad_centers]
+        arrays = [enc.bottleneck.weights, enc.bottleneck.bias,
+                  enc.layers[0].weights, enc.layers[0].bias, protos.centers]
+        assert len(analytic) == len(arrays)
         h = 1e-5
         for got, arr in zip(analytic, arrays):
             fd = np.zeros_like(arr)

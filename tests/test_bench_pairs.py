@@ -68,6 +68,20 @@ def test_unresolved_when_parent_spread_exceeds_bound():
     assert not narrow["wall_s"]["unresolved"]
 
 
+def test_pair_ratios_leave_out_seed_to_seed_spread():
+    """Seeds spread the runs over 1.0-1.6 s, but each pair's two runs are
+    equal: every change/parent ratio is 1, so the ratio IQR is 0."""
+    parent = [1.0, 1.6, 1.1, 1.5, 1.2, 1.4, 1.3, 1.05, 1.55, 1.25]
+    summary = bench_pairs.summarize(pairs_of(parent, parent), METRICS)
+    entry = summary["wall_s"]
+    assert entry["ratio"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert entry["ratio_iqr"] == 0.0
+    assert entry["parent"]["q3"] - entry["parent"]["q1"] > 0.25
+    slower = bench_pairs.summarize(pairs_of(parent, [1.1 * p for p in parent]), METRICS)
+    assert slower["wall_s"]["ratio"]["median"] == pytest.approx(1.1)
+    assert slower["wall_s"]["ratio_iqr"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_flags_are_printed():
     entry = {"worse_beyond_bound": True, "unresolved": True}
     assert bench_pairs._flags(entry) == "; worse beyond bound, unresolved"

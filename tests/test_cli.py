@@ -400,9 +400,10 @@ class TestErrorPaths:
                    "--k", 2, "--out-dir", tmp_path / "x") == 2
 
     @pytest.mark.parametrize("case", ["dtce-header-only", "dtce-tag-0", "dtce-tag-7",
-                                      "csv-not-utf8",
+                                      "dtce-bn-flag-7", "csv-not-utf8",
                                       "truth-not-utf8", "dtcf-no-columns",
-                                      "truth-repeated-id", "assignments-repeated-id"])
+                                      "truth-repeated-id", "assignments-repeated-id",
+                                      "truth-int64-overflow", "assignments-int64-overflow"])
     def test_malformed_file_is_data_error(self, synth_dir, encoder_path, tmp_path,
                                           capsys, case):
         bad = tmp_path / "bad"
@@ -421,22 +422,35 @@ class TestErrorPaths:
             bad.write_bytes(bytes(blob))
             files["--encoder"] = bad
             error = f"error: {bad}: unknown activation tag {case[-1]}"
+        elif case == "dtce-bn-flag-7":
+            blob = bytearray(encoder_path.read_bytes())
+            flag = 10 + 9 * blob[9]   # after the header and each layer's (in, out, tag)
+            assert blob[flag] == 0
+            blob[flag] = 7
+            bad.write_bytes(bytes(blob))
+            files["--encoder"] = bad
+            error = f"error: {bad}: bottleneck flag must be 0 or 1, got 7"
         elif case == "csv-not-utf8":
             bad.write_bytes(b"id,f0\n\xff,1.0\n")
             files["--data"] = bad
         elif case == "truth-not-utf8":
             bad.write_bytes(truth.read_bytes() + b"\xff,0\n")
             files["--truth"] = bad
-        elif case.endswith("repeated-id"):
+        elif case.endswith(("repeated-id", "int64-overflow")):
             assert "\nu1,0\n" in truth.read_text()
             assignments = tmp_path / "assignments.csv"
             assignments.write_text(truth.read_text().replace("id,label", "id,cluster", 1))
             source = assignments if case.startswith("assignments") else truth
-            bad.write_text(source.read_text() + "u1,1\n")
             files = {"--assignments": assignments, "--truth": truth}
             files["--" + case.split("-")[0]] = bad
             command = ("eval",)
-            error = f"error: {bad}: line 77: repeated id 'u1'"
+            if case.endswith("repeated-id"):
+                bad.write_text(source.read_text() + "u1,1\n")
+                error = f"error: {bad}: line 77: repeated id 'u1'"
+            else:
+                lineno = source.read_text().split("\n").index("u1,0") + 1
+                bad.write_text(source.read_text().replace("\nu1,0\n", f"\nu1,{2**63}\n"))
+                error = f"error: {bad}: line {lineno}: '{2**63}' is out of the int64 range"
         else:
             bad.write_bytes(struct.pack("<4sBIIB", b"DTCF", 1, 2, 0, 0))
             files.update({"--data": bad, "--format": "binary"})

@@ -159,6 +159,15 @@ class TestCsvFormat:
         save_features(path, fm, "csv", labels=[2**32, 1])
         np.testing.assert_array_equal(load_labeled(path, "csv").labels, [1, 0])
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("label", [2**63, 2**64])
+    def test_label_beyond_int64_rejected(self, tmp_path, fmt, label):
+        fm = FeatureMatrix(np.zeros((2, 1)), ("a", "b"))
+        path = tmp_path / "f"
+        with pytest.raises(ParameterError, match=re.escape("labels must be non-negative and below 2**63")):
+            save_features(path, fm, fmt, labels=[label, 1])
+        assert not path.exists()
+
     def test_sparse_label_values_get_compacted(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,f0,label\na,1.0,7\nb,2.0,7\nc,3.0,9\n")

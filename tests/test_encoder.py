@@ -1,5 +1,7 @@
 """Tests for the encoder: forward/backward, PCA, pretraining, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,26 +31,9 @@ TAG_OFFSET = 18
 def random_encoder(rng, d_in=4, hidden=5, c=3):
     layers = [LayerParams(rng.normal(scale=0.5, size=(hidden, d_in)),
                           rng.normal(scale=0.1, size=hidden))]
-    bottleneck = (rng.normal(scale=0.5, size=(c, hidden)), rng.normal(scale=0.1, size=c))
+    bottleneck = LayerParams(rng.normal(scale=0.5, size=(c, hidden)),
+                             rng.normal(scale=0.1, size=c))
     return EncoderParams(layers, bottleneck, d_in)
-
-
-def encoder_param_arrays(enc):
-    arrays = []
-    for layer in enc.layers:
-        arrays += [layer.weights, layer.bias]
-    if enc.bottleneck is not None:
-        arrays += [enc.bottleneck[0], enc.bottleneck[1]]
-    return arrays
-
-
-def flatten_grads(grads):
-    arrays = []
-    for gw, gb in grads.layers:
-        arrays += [gw, gb]
-    if grads.bottleneck is not None:
-        arrays += [grads.bottleneck[0], grads.bottleneck[1]]
-    return arrays
 
 
 def fd_gradients(loss_fn, arrays, h=1e-5):
@@ -75,7 +60,7 @@ def rel_error(a, b):
 
 class TestForward:
     def test_identity_configuration(self):
-        enc = EncoderParams([], (np.eye(3), np.zeros(3)), 3)
+        enc = EncoderParams([], LayerParams(np.eye(3), np.zeros(3)), 3)
         x = np.arange(12, dtype=float).reshape(4, 3)
         np.testing.assert_array_equal(forward(enc, x), x)
 
@@ -86,8 +71,8 @@ class TestForward:
 
     def test_affine_property_of_linear_encoder(self):
         rng = np.random.default_rng(1)
-        enc = EncoderParams([], (rng.normal(scale=0.5, size=(3, 4)),
-                                 rng.normal(scale=0.1, size=3)), 4)
+        enc = EncoderParams([], LayerParams(rng.normal(scale=0.5, size=(3, 4)),
+                                            rng.normal(scale=0.1, size=3)), 4)
         x = rng.normal(size=(6, 4))
         alpha = 2.75
         lhs = forward(enc, alpha * x)
@@ -112,7 +97,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         enc = random_encoder(rng)
         grads, input_grad = backward(enc, rng.normal(size=(5, 4)), np.zeros((5, 3)))
-        for arr in flatten_grads(grads):
+        assert len(grads) == len(enc.arrays())
+        for arr in grads:
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
         np.testing.assert_array_equal(input_grad, np.zeros((5, 4)))
 
@@ -123,7 +109,8 @@ class TestBackward:
         upstream = rng.normal(size=(6, 3))
         kept_grads, kept_input = _backward(enc, _forward_trace(enc, x), upstream)
         grads, input_grad = backward(enc, x, upstream)
-        for kept, public in zip(flatten_grads(kept_grads), flatten_grads(grads)):
+        assert len(kept_grads) == len(grads) == len(enc.arrays())
+        for kept, public in zip(kept_grads, grads):
             np.testing.assert_array_equal(kept, public)
         np.testing.assert_array_equal(kept_input, input_grad)
 
@@ -136,14 +123,15 @@ class TestBackward:
         rng = np.random.default_rng(5)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        enc = EncoderParams([], (w, b), 4)
+        enc = EncoderParams([], LayerParams(w, b), 4)
         x = rng.normal(size=(10, 4))
         t = rng.normal(size=(10, 3))
         y = x @ w.T + b
         upstream = (y - t) / 10.0
         grads, _ = backward(enc, x, upstream)
-        np.testing.assert_allclose(grads.bottleneck[0], (y - t).T @ x / 10.0, atol=1e-8)
-        np.testing.assert_allclose(grads.bottleneck[1], (y - t).mean(axis=0), atol=1e-8)
+        grad_w, grad_b = grads
+        np.testing.assert_allclose(grad_w, (y - t).T @ x / 10.0, atol=1e-8)
+        np.testing.assert_allclose(grad_b, (y - t).mean(axis=0), atol=1e-8)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -157,8 +145,9 @@ class TestBackward:
 
         upstream = forward(enc, x) - target
         grads, input_grad = backward(enc, x, upstream)
-        fd = fd_gradients(loss, encoder_param_arrays(enc))
-        for got, want in zip(flatten_grads(grads), fd):
+        fd = fd_gradients(loss, enc.arrays())
+        assert len(grads) == len(fd)
+        for got, want in zip(grads, fd):
             assert rel_error(got, want) <= 1e-4
         (fd_x,) = fd_gradients(loss, [x])
         assert rel_error(input_grad, fd_x) <= 1e-4
@@ -171,11 +160,11 @@ class TestBackward:
         target = rng.normal(size=(5, 3))
         upstream = forward(enc, x) - target
         grads, _ = backward(enc, x, upstream)
-        params = encoder_param_arrays(enc)
+        params = enc.arrays()
         direction = [rng.normal(size=p.shape) for p in params]
         norm = np.sqrt(sum((d * d).sum() for d in direction))
         direction = [d / norm for d in direction]
-        analytic = sum((g * d).sum() for g, d in zip(flatten_grads(grads), direction))
+        analytic = sum((g * d).sum() for g, d in zip(grads, direction))
         eps = 1e-5
 
         def loss():
@@ -282,7 +271,7 @@ class TestInstallBottleneck:
     def test_dimension_mismatch(self):
         trunk = EncoderParams([], None, 4)
         pca = fit_pca(np.random.default_rng(0).normal(size=(10, 3)), 2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="layer 0 expects input dim 3, got 4"):
             install_bottleneck(trunk, pca)
 
 
@@ -310,7 +299,7 @@ class TestPretrain:
         )
         result = pretrain_classifier(train, seed=1)
         trunk = forward(result.encoder, labeled.features.values[test_rows])
-        logits = trunk @ result.head_weights.T + result.head_bias
+        logits = trunk @ result.head.weights.T + result.head.bias
         acc = (logits.argmax(axis=1) == labeled.labels[test_rows]).mean()
         assert acc >= 0.95
 
@@ -355,7 +344,8 @@ class TestCheckpoint:
         back = load_encoder(path)
         assert back.input_dim == 4
         np.testing.assert_array_equal(back.layers[0].weights, enc.layers[0].weights)
-        np.testing.assert_array_equal(back.bottleneck[0], enc.bottleneck[0])
+        np.testing.assert_array_equal(back.bottleneck.weights, enc.bottleneck.weights)
+        np.testing.assert_array_equal(back.bottleneck.bias, enc.bottleneck.bias)
         assert path.read_bytes()[TAG_OFFSET] == 1   # the tanh activation byte
 
     def test_round_trip_without_bottleneck(self, tmp_path):
@@ -368,6 +358,43 @@ class TestCheckpoint:
         back = load_encoder(path)
         assert back.bottleneck is None
         np.testing.assert_array_equal(back.layers[0].bias, enc.layers[0].bias)
+
+    @pytest.mark.parametrize("with_bottleneck", [True, False], ids=["bottleneck", "trunk"])
+    def test_golden_bytes(self, tmp_path, with_bottleneck):
+        """The DTCE layout, written out field by field: the "<4sBIB" header
+        (magic, version 1, input dim, layer count), each layer's "<IIB" (in,
+        out, tanh tag 1), the bottleneck flag byte and the bottleneck's "<II"
+        (in, out), then each layer's weights and bias, the bottleneck's last,
+        as little-endian float64."""
+        rng = np.random.default_rng(27)
+        w1, b1 = rng.normal(size=(4, 3)), rng.normal(size=4)
+        w2, b2 = rng.normal(size=(2, 4)), rng.normal(size=2)
+        a, b = rng.normal(size=(3, 2)), rng.normal(size=3)
+        w1[0, 0], b1[1], w2[1, 3], a[2, 1] = -0.0, 5e-324, 1.7976931348623157e308, np.pi
+        golden = (struct.pack("<4sBIB", b"DTCE", 1, 3, 2)
+                  + struct.pack("<IIB", 3, 4, 1) + struct.pack("<IIB", 4, 2, 1))
+        if with_bottleneck:
+            golden += struct.pack("<B", 1) + struct.pack("<II", 2, 3)
+        else:
+            golden += struct.pack("<B", 0)
+        params = [w1, b1, w2, b2] + ([a, b] if with_bottleneck else [])
+        golden += b"".join(p.astype("<f8").tobytes() for p in params)
+
+        path = tmp_path / "golden.dtce"
+        path.write_bytes(golden)
+        enc = load_encoder(path)
+        assert (enc.input_dim, len(enc.layers)) == (3, 2)
+        assert enc.output_dim == (3 if with_bottleneck else 2)
+        # arrays(): the bottleneck's (weights, bias) first, then each layer's.
+        want = ([a, b] if with_bottleneck else []) + [w1, b1, w2, b2]
+        got = enc.arrays()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        out = tmp_path / "saved.dtce"
+        save_encoder(out, enc)
+        assert out.read_bytes() == golden
 
     @pytest.mark.parametrize("tag", [0, 7])
     def test_activation_tag_other_than_tanh_is_data_error(self, tmp_path, tag):
@@ -385,14 +412,14 @@ class TestCheckpoint:
         """A bottleneck with a non-finite value is refused, as a layer with
         one is: on construction, and when a checkpoint holding it loads."""
         enc = random_encoder(np.random.default_rng(26))
-        a, b = enc.bottleneck
-        with pytest.raises(ParameterError, match="bottleneck parameters must be finite"):
-            EncoderParams(enc.layers, (a, np.full_like(b, value)), enc.input_dim)
+        a, b = enc.bottleneck.weights, enc.bottleneck.bias
+        with pytest.raises(ParameterError, match="layer parameters must be finite"):
+            EncoderParams(enc.layers, LayerParams(a, np.full_like(b, value)), enc.input_dim)
         path = tmp_path / "enc.dtce"
         save_encoder(path, enc)
         blob = path.read_bytes()
         path.write_bytes(blob[:-8] + np.array([value], dtype="<f8").tobytes())   # last of b
-        with pytest.raises(DataError, match="bottleneck parameters must be finite"):
+        with pytest.raises(DataError, match="layer parameters must be finite"):
             load_encoder(path)
 
     def test_bad_magic(self, tmp_path):

@@ -34,7 +34,7 @@ def valid_files(tmp_path_factory):
     save_features(root / "f.dtcf", features, "binary", labels=labels)
     rng = np.random.default_rng(0)
     encoder = EncoderParams([LayerParams(rng.normal(size=(3, 2)), rng.normal(size=3))],
-                            (rng.normal(size=(2, 3)), rng.normal(size=2)), 2)
+                            LayerParams(rng.normal(size=(2, 3)), rng.normal(size=2)), 2)
     save_encoder(root / "f.dtce", encoder)
     return {kind: (root / f"f.{kind}").read_bytes() for kind in LOADERS}
 

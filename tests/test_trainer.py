@@ -16,6 +16,7 @@ from transfercluster.dataset import synth_mixture
 from transfercluster.encoder import (
     MOMENTUM,
     EncoderParams,
+    LayerParams,
     PretrainConfig,
     backward,
     forward,
@@ -134,7 +135,7 @@ class TestTrain:
         assert not (np.array_equal(built[1], built[0]) and np.array_equal(built[2], built[0]))
 
     def test_empty_unlabelled_set_rejected(self):
-        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        encoder = EncoderParams([], LayerParams(np.eye(2), np.zeros(2)), 2)
         protos = Prototypes(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ParameterError, match="unlabelled data is empty"):
             train(encoder, protos, np.empty((0, 2)), TrainConfig(k=2))
@@ -224,7 +225,7 @@ class TestVariants:
 
         x = unlabeled.values
         enc, protos = ready.copy(), protos.copy()
-        params = [protos.centers, *enc.bottleneck]
+        params = [protos.centers, enc.bottleneck.weights, enc.bottleneck.bias]
         for layer in enc.layers:
             params += [layer.weights, layer.bias]
         velocity = [np.zeros_like(p) for p in params]
@@ -247,9 +248,7 @@ class TestVariants:
                 _, grad_p = consistency_loss(soft_assign(zb, protos), p_prime)
                 cons_z, cons_c = soft_assign_grads(zb, protos, omega * grad_p)
                 enc_grads, _ = backward(enc, xb, kl_z + cons_z)
-                grads = [kl_c + cons_c, *enc_grads.bottleneck]
-                for gw, gb in enc_grads.layers:
-                    grads += [gw, gb]
+                grads = [kl_c + cons_c, *enc_grads]
                 for param, v, g in zip(params, velocity, grads):
                     v *= MOMENTUM
                     v += g
@@ -348,7 +347,7 @@ class TestRecovery:
         reseeded model's predictions, with rows in the recycled cluster."""
         rng = np.random.default_rng(15)
         x = rng.normal(size=(30, 2))
-        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        encoder = EncoderParams([], LayerParams(np.eye(2), np.zeros(2)), 2)
         centers = np.vstack([x[:3], np.full((1, 2), 1e200)])
         diff = x[:, None, :] - centers[None, :, :]
         with np.errstate(over="ignore"):
@@ -370,19 +369,19 @@ class TestRecovery:
 class TestPredict:
     def test_point_at_prototype(self):
         protos = Prototypes(np.array([[0.0, 0.0], [50.0, 0.0]]))
-        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        encoder = EncoderParams([], LayerParams(np.eye(2), np.zeros(2)), 2)
         labels, probs = predict(encoder, protos, np.array([[0.1, 0.0]]))
         assert labels[0] == 0
         assert probs[0, 0] > 0.99
 
     def test_equidistant_tie_takes_lowest_index(self):
         protos = Prototypes(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        encoder = EncoderParams([], LayerParams(np.eye(2), np.zeros(2)), 2)
         labels, _ = predict(encoder, protos, np.zeros((1, 2)))
         assert labels[0] == 0
 
     def test_dimension_mismatch(self):
         protos = Prototypes(np.zeros((2, 2)))
-        encoder = EncoderParams([], (np.eye(2), np.zeros(2)), 2)
+        encoder = EncoderParams([], LayerParams(np.eye(2), np.zeros(2)), 2)
         with pytest.raises(ParameterError):
             predict(encoder, protos, np.zeros((1, 5)))

@@ -17,6 +17,11 @@ failed/attempted counts and minor page faults (the ``ru_minflt`` of the
 child process, from ``resource.getrusage``).  Then, per metric, it
 prints each side's median and quartiles, the parent's interquartile
 range, and how many pairs the change won; ties count for neither side.
+It also prints the median and quartiles of the per-pair ratio
+change/parent, and that ratio's interquartile range: two runs of one
+pair share a seed, so this spread leaves out the seed-to-seed variation
+of the workload that the sides' own quartiles include.  The ratios raise
+no flag.
 Each metric's direction and ``bound`` come from ``BENCHMARK.json`` in
 CHANGE_DIR, and two flags are raised against the bound: "worse beyond
 bound" when the change's median is worse than the parent's by more than
@@ -100,8 +105,9 @@ def _end_to_end(change: Path) -> dict:
 
 
 def summarize(pairs: list, metrics: dict) -> dict:
-    """Per metric: each side's quartiles, the pairs the change won and the
-    two bound flags.  ``pairs`` holds one ``{"parent": {...}, "change": {...}}``
+    """Per metric: each side's quartiles, the quartiles of the per-pair
+    ratio change/parent and their interquartile range, the pairs the
+    change won and the two bound flags.  ``pairs`` holds one ``{"parent": {...}, "change": {...}}``
     value record per pair; ``metrics`` is :func:`_end_to_end`'s mapping."""
     summary = {}
     for name, spec in metrics.items():
@@ -109,10 +115,13 @@ def summarize(pairs: list, metrics: dict) -> dict:
         sign = 1 if spec["better"] == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         (p1, pm, p3), (c1, cm, c3) = (_quartiles(values[s]) for s in SIDES)
+        r1, rm, r3 = _quartiles([c / p for p, c in zip(values["parent"], values["change"])])
         allowed = spec["bound"] * abs(pm)
         summary[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
                          "parent": {"q1": p1, "median": pm, "q3": p3},
                          "change": {"q1": c1, "median": cm, "q3": c3},
+                         "ratio": {"q1": r1, "median": rm, "q3": r3},
+                         "ratio_iqr": r3 - r1,
                          "change_won": wins,
                          "worse_beyond_bound": sign * (cm - pm) > allowed,
                          "unresolved": p3 - p1 > allowed}
@@ -164,6 +173,9 @@ def run_pairs(args, workload: str, metrics: dict):
               f"{entry['bound']:.0%}): parent median {pm:.4g} [{p1:.4g}, {p3:.4g}], "
               f"change median {cm:.4g} [{c1:.4g}, {c3:.4g}], "
               f"median change {(cm - pm) / pm:+.1%}, parent IQR {p3 - p1:.4g}, "
+              f"pair ratio median {entry['ratio']['median']:.4f} "
+              f"[{entry['ratio']['q1']:.4f}, {entry['ratio']['q3']:.4f}], "
+              f"ratio IQR {entry['ratio_iqr']:.4f}, "
               f"change won {entry['change_won']}/{len(args.seeds)}{_flags(entry)}")
     for side in SIDES:
         failed = sum(pair[side]["failed"] for pair in pairs)
