@@ -78,8 +78,8 @@ class LabeledSet:
     """Features plus a class label per row.
 
     Labels are contiguous integers 0..L-1 with every class non-empty.
-    File loaders remap arbitrary integer labels onto this range by
-    sorted value.
+    File loaders remap file labels, integers in 0..2**63 - 1, onto this
+    range by sorted value.
     """
 
     features: FeatureMatrix
@@ -180,11 +180,17 @@ def _load_csv(path):
         ids.append(parts[0])
         if has_labels:
             try:
-                labels.append(int(parts[-1]))
+                label = int(parts[-1])
             except ValueError:
                 raise DataError(
                     f"{path}: line {lineno}: label '{parts[-1]}' is not an integer"
                 ) from None
+            # The range save_features writes; outside it a label would wrap or go to objects.
+            if not 0 <= label < 2**63:
+                raise DataError(
+                    f"{path}: line {lineno}: label '{parts[-1]}' is outside 0..2**63 - 1"
+                )
+            labels.append(label)
     if not ids:
         raise DataError(f"{path}: no rows")
     return values[: len(ids)], ids, (np.array(labels) if has_labels else None)
@@ -242,7 +248,8 @@ def load_features(path, format: str = "csv") -> FeatureMatrix:
 def load_labeled(path, format: str = "csv") -> LabeledSet:
     """Load a feature file that carries a label column.
 
-    Arbitrary integer labels are remapped to 0..L-1 by sorted value.
+    Labels, integers in 0..2**63 - 1, are remapped to 0..L-1 by sorted
+    value; a CSV label outside that range raises :class:`DataError`.
     """
     features, labels = _load(path, format)
     if labels is None:
@@ -256,6 +263,10 @@ def save_features(path, features: FeatureMatrix, format: str = "csv",
     """Write a feature file; values round-trip exactly through either format."""
     _check_format(format)
     if labels is not None:
+        given = np.asarray(labels)
+        # The int64 cast would wrap a uint64 label of 2**63 or more to a negative.
+        if given.dtype == np.uint64 and (given >= 2**63).any():
+            raise ParameterError("labels must be non-negative and below 2**63")
         try:
             labels = np.asarray(labels, dtype=np.int64)
         except OverflowError:

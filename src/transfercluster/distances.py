@@ -5,8 +5,10 @@
 trainer's reseed and the silhouette means all use it.  k-means calls it
 only for the anchor centers in the k-means++ D^2 pool and for the
 empty-cluster repair; its seeding draws repeat its steps for all
-restarts at once, and its label passes drop the row's own |a|^2 (see
-:mod:`kmeans`).  The silhouette
+restarts at once, and its label passes score rows centred on their mean
+in float32, without the row's own |a|^2, and certify each winner against
+an error bound derived in :mod:`kmeans`, falling back to float64
+|mu|^2 - 2 a.mu where they cannot.  The silhouette
 works in the row blocks that :func:`row_blocks` yields, so it never
 holds the whole (N, N) matrix.
 

@@ -87,6 +87,20 @@ class TestPretrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("label", ["-1", str(10**23)])
+    def test_label_outside_the_written_range_is_data_error(self, synth_dir, tmp_path,
+                                                           capsys, label):
+        lines = (synth_dir / "labeled.csv").read_text().splitlines()
+        lines[1] = ",".join([*lines[1].split(",")[:-1], label])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "enc"
+        assert run("pretrain", "--labeled", bad, "--epochs", 1, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: label '{label}' is outside 0..2**63 - 1\n")
+        assert not out.exists()
+
+
 class TestCluster:
     def test_zero_epochs_is_kmeans_init(self, synth_dir, encoder_path, tmp_path):
         out = tmp_path / "run"

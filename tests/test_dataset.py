@@ -168,6 +168,27 @@ class TestCsvFormat:
             save_features(path, fm, fmt, labels=[label, 1])
         assert not path.exists()
 
+    def test_uint64_label_beyond_int64_rejected_for_its_range(self, tmp_path):
+        """A uint64 array holds 2**63 without overflow; the int64 cast would
+        wrap it to a negative and give the wrong reason."""
+        fm = FeatureMatrix(np.zeros((2, 1)), ("a", "b"))
+        path = tmp_path / "f.csv"
+        with pytest.raises(ParameterError, match=re.escape("non-negative and below 2**63")):
+            save_features(path, fm, "csv", labels=np.array([2**63, 1], dtype=np.uint64))
+        assert not path.exists()
+        save_features(path, fm, "csv", labels=np.array([2**63 - 1, 1], dtype=np.uint64))
+        np.testing.assert_array_equal(load_labeled(path, "csv").labels, [1, 0])
+
+    @pytest.mark.parametrize("label", ["-5", "-1", str(2**63), str(10**23)])
+    def test_csv_label_outside_the_written_range_rejected(self, tmp_path, label):
+        """save_features writes labels in 0..2**63 - 1 only, so the loader
+        refuses the rest instead of remapping them."""
+        path = tmp_path / "f.csv"
+        path.write_text(f"id,f0,label\na,1.0,0\nb,2.0,{label}\n")
+        message = f"{path}: line 3: label '{label}' is outside 0..2**63 - 1"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_labeled(path, "csv")
+
     def test_sparse_label_values_get_compacted(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,f0,label\na,1.0,7\nb,2.0,7\nc,3.0,9\n")

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transfercluster import distances
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, NumericalError, ParameterError
 from transfercluster.kmeans import (
-    KmeansResult, _exact_inertia, _label_pass, _lloyd, _plusplus_init, constrained_kmeans,
-    kmeans,
+    KmeansResult, _exact_inertia, _FreeRows, _label_pass, _lloyd, _plusplus_init,
+    constrained_kmeans, kmeans,
 )
 from transfercluster.seeding import rng_for
 
@@ -657,7 +659,7 @@ class TestLabelPass:
         runs = rng.normal(size=(3, 6, c)) + offset
         x_sq = np.einsum("nc,nc->n", x, x)
         labels = np.full((3, x.shape[0]), -1)
-        assert _label_pass(x, runs, labels, np.arange(3)).all()
+        assert _label_pass(_FreeRows(x, np.arange(150)), runs, labels, np.arange(3)).all()
         for centers, run_labels in zip(runs, labels):
             mu_sq = np.einsum("kc,kc->k", centers, centers)
             exact = np.array([[float(sum((Fraction(a) - Fraction(b)) ** 2
@@ -677,15 +679,157 @@ class TestLabelPass:
         x = rng.normal(size=(97, 3))
         runs = rng.normal(size=(4, 5, 3))
         labels = np.full((4, 97), -1)
-        _label_pass(x, runs, labels, np.arange(4))
+        free = _FreeRows(x, np.arange(97))
+        _label_pass(free, runs, labels, np.arange(4))
         before = labels.copy()
-        assert not _label_pass(x, runs, labels, np.arange(4)).any()
+        assert not _label_pass(free, runs, labels, np.arange(4)).any()
         runs[1] = runs[1, ::-1]   # same centers, reversed ids
         runs[3] = runs[0]
-        moved = _label_pass(x, runs, labels, np.array([1, 2]))
+        moved = _label_pass(free, runs, labels, np.array([1, 2]))
         np.testing.assert_array_equal(moved, [True, False])
         np.testing.assert_array_equal(labels[[0, 2, 3]], before[[0, 2, 3]])
         np.testing.assert_array_equal(labels[1], 4 - before[1])
+
+    def test_certificate_constants_cover_the_derived_error_terms(self):
+        """The module docstring's constants, in exact rational arithmetic.
+        Each score is within e P of its T, with P = |a|^2 + max |b|^2 the
+        exact norms: the product with its two input roundings and the
+        centring (phi), |mu|^2 in float64 then float32 (w), the final add,
+        and the underflow's relative share.  P is at most (X + M)(1 + rho)
+        for the float64 X and M.  Then e (1 + rho) <= gamma_{c+5}, and the
+        threshold's margin 2 gamma_{c+8}, after the float64 product and
+        add, the float32 rounding of r and h and the two float32 adds
+        (|s| <= 2 (X + M)(1 + rho) + B), still reaches 2 B."""
+        u, v, lam = Fraction(1, 2**24), Fraction(1, 2**53), Fraction(1, 2**150)
+
+        def gamma(n, unit=u):
+            return n * unit / (1 - n * unit)
+
+        for c in [1, 2, 3, 8, 40, 64, 100, 1000, 2**16, 2**20 - 1]:
+            phi = (1 + v) ** 2 * (1 + gamma(c + 2)) - 1
+            w = (1 + v) ** 2 * (1 + gamma(c, v)) - 1
+            e = (u + w + u * w) * (1 + u) + phi * (1 + u) + 2 * u + 5 * lam
+            rho = 1 / ((1 - v) ** 2 * (1 - gamma(c, v))) - 1
+            bound = gamma(c + 5)
+            assert e * (1 + rho) <= bound
+            margin = 2 * gamma(c + 8)
+            reached = (margin * (1 - v) ** 2 * (1 - u)
+                       - u * (2 + u) * (2 * (1 + rho) + bound + margin * (1 + v) ** 2 * (1 + u)))
+            assert reached >= 2 * bound
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_certified_label_is_the_exact_argmin(self, data):
+        """Rows and centers at mixed magnitudes, from float32 underflow
+        (1e-45) to past the gate (1e16 per coordinate), some centers the
+        mirror image of a row in another center (a near tie), and all
+        shifted by a shared offset.  With the fallback made to return -1,
+        every other label is the unique argmin of |x - mu|^2 in exact
+        rational arithmetic."""
+        c = data.draw(st.integers(1, 5), label="c")
+        n = data.draw(st.integers(1, 10), label="n")
+        k = data.draw(st.integers(1, 4), label="k")
+        runs = data.draw(st.integers(1, 3), label="runs")
+        offset = data.draw(st.sampled_from([0.0, 1e6]), label="offset")
+        # 1.0 comes twice, so that about two pairs in five are certified.
+        scales = st.sampled_from([1.0, 1e-45, 1e-20, 1e3, 1e14, 1.0, 1e16])
+
+        def draw_points(count, label):
+            unit = st.lists(st.floats(-1.0, 1.0), min_size=c, max_size=c)
+            return np.array([np.array(data.draw(unit, label=label)) * data.draw(scales)
+                             for _ in range(count)])
+
+        x = draw_points(n, "row")
+        centers = draw_points(runs * k, "center").reshape(runs, k, c)
+        if k > 1:
+            for r in range(runs):
+                if data.draw(st.booleans(), label="mirror"):
+                    centers[r, 1] = 2.0 * x[data.draw(st.integers(0, n - 1))] - centers[r, 0]
+        x += offset
+        centers += offset
+        labels = np.full((runs, n), -2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KMEANS, "_nearest64", lambda rows, _: np.full(len(rows), -1))
+            _label_pass(_FreeRows(x, np.arange(n)), centers, labels, np.arange(runs))
+        for r in range(runs):
+            for i in np.flatnonzero(labels[r] >= 0):
+                exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[i], mu))
+                         for mu in centers[r]]
+                nearest = min(exact)
+                assert exact[labels[r, i]] == nearest
+                assert exact.count(nearest) == 1
+
+    def test_near_tie_takes_the_float64_fallback(self, monkeypatch):
+        """Each row lies 1e-12 to 3e-12 past the midpoint of centers 1 and
+        2, nearer center 2.  Centred on the rows' mean, the float32 scores
+        of those two centers tie, so no pair is certified.  The float64
+        argmin of |mu|^2 - 2 x.mu picks center 2, the exact argmin; the
+        float32 argmin would pick center 1, and the float32 index sum of
+        the two ties names no center."""
+        x = 0.5 + np.array([[1e-12], [2e-12], [3e-12]])
+        runs = np.array([[[-10.0], [0.0], [1.0]]] * 2)
+        labels = np.full((2, 3), -1)
+        fallback_rows = []
+        nearest64 = KMEANS._nearest64
+
+        def spy(rows, centers):
+            fallback_rows.append(len(rows))
+            return nearest64(rows, centers)
+
+        monkeypatch.setattr(KMEANS, "_nearest64", spy)
+        _label_pass(_FreeRows(x, np.arange(3)), runs, labels, np.arange(2))
+        assert fallback_rows == [3, 3]
+        np.testing.assert_array_equal(labels, 2)
+        np.testing.assert_array_equal(labels[0], sequential_labels(x, runs[0], [], []))
+
+    def test_overflowing_float32_score_is_not_certified(self):
+        """The rows' mean is 0.  Row 0, (2e19, 0), is nearer center 0 (at
+        squared distance 1.44e38, against 3.46e38).  In float32 its product
+        with center 1, -3.6e38, overflows to -inf while its other scores
+        stay finite, so -inf would be the only score in reach.  Only the
+        gate keeps that label from being certified."""
+        x = np.array([[2e19, 0.0], [-2e19, 0.0]])
+        runs = np.array([[[8e18, 0.0], [9e18, 1.5e19]]])
+        labels = np.full((1, 2), -1)
+        _label_pass(_FreeRows(x, np.arange(2)), runs, labels, np.arange(1))
+        np.testing.assert_array_equal(labels, [[0, 0]])
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_float32_overflow_takes_the_float64_path(self, monkeypatch, anchored):
+        """Scaled to |x| near 1e20, float32 squares overflow.  Every row is
+        past the gate, so every label pass sends all its pairs to the
+        float64 fallback, and each restart matches the sequential oracle
+        (float64 labels over every row) bit for bit."""
+        labeled, unlabeled, _ = synth_mixture(3, 4, 30, 8, 3.0, seed=2)
+        x = np.vstack([labeled.features.values, unlabeled.values]) * 1e20
+        pinned = np.full(x.shape[0], -1)
+        if anchored:
+            pinned[: labeled.labels.size] = labeled.labels
+        fallback_rows = []
+        nearest64 = KMEANS._nearest64
+
+        def spy(rows, centers):
+            fallback_rows.append(len(rows))
+            return nearest64(rows, centers)
+
+        passes = []
+        label_pass = KMEANS._label_pass
+
+        def counted(free, centers, labels, active):
+            passes.append(active.size * free.idx.size)
+            return label_pass(free, centers, labels, active)
+
+        monkeypatch.setattr(KMEANS, "_nearest64", spy)
+        monkeypatch.setattr(KMEANS, "_label_pass", counted)
+        calls = record_lloyd(monkeypatch)
+        result = constrained_kmeans(x, 7, pinned, seed=0)
+        (args, fits), = calls
+        _, x_sq, starts, anchor_rows, anchor_cluster, free_idx = args
+        assert sum(fallback_rows) == sum(passes) > 0
+        for start, fit in zip(starts, fits):
+            assert_fits_equal(fit, sequential_lloyd(x, x_sq, start, anchor_rows,
+                                                    anchor_cluster, free_idx, 7))
+        assert result is fits[int(np.argmin([fit.inertia for fit in fits]))]
 
     def test_exact_inertia_holds_one_row_block(self):
         """The gathered centers are overwritten by the differences, so the
