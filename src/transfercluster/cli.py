@@ -21,6 +21,7 @@ from .dataset import (
     LabeledSet,
     load_features,
     load_labeled,
+    parse_digits,
     read_text,
     save_features,
     split_probes,
@@ -64,15 +65,11 @@ def _read_id_value_file(path, column):
             raise DataError(f"{path}: line {lineno}: expected 2 fields")
         if parts[0] in mapping:
             raise DataError(f"{path}: line {lineno}: repeated id '{parts[0]}'")
-        try:
-            value = int(parts[1])
-        except ValueError:
-            raise DataError(
-                f"{path}: line {lineno}: '{parts[1]}' is not an integer"
-            ) from None
-        if not -2**63 <= value < 2**63:
-            raise DataError(f"{path}: line {lineno}: '{parts[1]}' is out of the int64 range")
-        mapping[parts[0]] = value
+        value = parse_digits(parts[1].removeprefix("-"))
+        if value is None:
+            raise DataError(f"{path}: line {lineno}: '{parts[1]}' is not an integer "
+                            "in -(2**63 - 1)..2**63 - 1")
+        mapping[parts[0]] = -value if parts[1].startswith("-") else value
     if not mapping:
         raise DataError(f"{path}: no rows")
     return mapping
@@ -134,12 +131,12 @@ def _estimate(ns, encoder, data, threads):
     )
 
 
-def _train_config(ns, k):
+def _train_config(ns, k, bottleneck):
     return TrainConfig(
         k=k, variant=ns.variant, warmup_epochs=ns.warmup, main_epochs=ns.epochs,
         batch_size=ns.batch_size, learning_rate=ns.lr, ema_momentum=ns.ema_momentum,
         ramp=ns.ramp,
-        perturb_sigma=ns.sigma, seed=ns.seed, bottleneck_dim=ns.bottleneck,
+        perturb_sigma=ns.sigma, seed=ns.seed, bottleneck_dim=bottleneck,
     )
 
 
@@ -153,7 +150,7 @@ def cmd_cluster(ns, argv):
         raise ParameterError("--auto-k needs --probe")
     # The training settings and thread cap are checked before any work;
     # --auto-k sets k once the count estimate is known.
-    config = _train_config(ns, 2 if ns.auto_k else ns.k)
+    config = _train_config(ns, 2 if ns.auto_k else ns.k, ns.bottleneck)
     threads = default_threads() if ns.auto_k else 1
     encoder = load_encoder(ns.encoder)
     data = load_features(ns.data, ns.format)
@@ -260,24 +257,22 @@ def cmd_sweep(ns, argv):
         raise ParameterError("bottleneck sweep needs --k")
     if not ns.truth:
         raise ParameterError("sweep needs --truth to score each point")
+    # Every point's settings and the thread cap are checked before any work.
+    if ns.sweep == "bottleneck":
+        configs = [_train_config(ns, ns.k, value) for value in values]
+    else:
+        configs = [_train_config(ns, value, None) for value in values]
     threads = default_threads()
     encoder = load_encoder(ns.encoder)
     data = load_features(ns.data, ns.format)
     truth = _read_truth(ns.truth, data.ids)
 
-    def run_point(value):
-        point = argparse.Namespace(**vars(ns))
-        if ns.sweep == "bottleneck":
-            point.bottleneck = value
-            k = ns.k
-        else:
-            point.bottleneck = None
-            k = value
-        trace = _run_cluster(encoder, data, _train_config(point, k))
-        report = evaluate_clustering(truth, trace.assignments)
-        return value, report.acc, report.nmi
+    def run_point(config):
+        report = evaluate_clustering(truth, _run_cluster(encoder, data, config).assignments)
+        return report.acc, report.nmi
 
-    rows = parallel_map(run_point, values, threads)
+    scores = parallel_map(run_point, configs, threads)
+    rows = [(value, acc, nmi) for value, (acc, nmi) in zip(values, scores)]
     out = _out_dir(ns)
     table_path = out / "sweep_results.csv"
     _write_rows(table_path, "value,acc,nmi", rows)

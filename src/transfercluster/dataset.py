@@ -78,8 +78,8 @@ class LabeledSet:
     """Features plus a class label per row.
 
     Labels are contiguous integers 0..L-1 with every class non-empty.
-    File loaders remap file labels, integers in 0..2**63 - 1, onto this
-    range by sorted value.
+    File loaders remap a file's labels onto this range by sorted value;
+    :func:`save_features` states which labels a file may hold.
     """
 
     features: FeatureMatrix
@@ -147,6 +147,18 @@ def _parse_header(line: str):
     return len(feature_names), has_labels
 
 
+def parse_digits(text: str) -> int | None:
+    """The value of ``text`` if it is ASCII digits below 2**63, else None;
+    unlike ``int``, this refuses signs, spaces, underscores and other scripts' digits."""
+    digits = text.lstrip("0") or "0"
+    # Below 2**63 means at most 19 digits after leading zeros; the test also
+    # keeps int() within its limit on the length of a decimal string.
+    if not (text.isascii() and text.isdigit()) or len(digits) > 19:
+        return None
+    value = int(digits)
+    return value if value < 2**63 else None
+
+
 def read_text(path) -> str:
     """A UTF-8 text file's contents; undecodable bytes are a DataError."""
     try:
@@ -179,14 +191,9 @@ def _load_csv(path):
             raise DataError(f"{path}: line {lineno}: {exc}") from None
         ids.append(parts[0])
         if has_labels:
-            try:
-                label = int(parts[-1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: label '{parts[-1]}' is not an integer"
-                ) from None
-            # The range save_features writes; outside it a label would wrap or go to objects.
-            if not 0 <= label < 2**63:
+            # Exactly the labels save_features writes.
+            label = parse_digits(parts[-1])
+            if label is None:
                 raise DataError(
                     f"{path}: line {lineno}: label '{parts[-1]}' is outside 0..2**63 - 1"
                 )
@@ -248,8 +255,9 @@ def load_features(path, format: str = "csv") -> FeatureMatrix:
 def load_labeled(path, format: str = "csv") -> LabeledSet:
     """Load a feature file that carries a label column.
 
-    Labels, integers in 0..2**63 - 1, are remapped to 0..L-1 by sorted
-    value; a CSV label outside that range raises :class:`DataError`.
+    Labels are remapped to 0..L-1 by sorted value.  A CSV label must be
+    ASCII digits with a value in 0..2**63 - 1, as :func:`save_features`
+    writes it; any other label raises :class:`DataError`.
     """
     features, labels = _load(path, format)
     if labels is None:
@@ -260,21 +268,19 @@ def load_labeled(path, format: str = "csv") -> LabeledSet:
 
 def save_features(path, features: FeatureMatrix, format: str = "csv",
                   labels: np.ndarray | None = None) -> None:
-    """Write a feature file; values round-trip exactly through either format."""
+    """Write a feature file; values round-trip exactly through either format.
+
+    ``labels`` holds one integer per row in 0..2**63 - 1 (binary: 0..2**32 - 1);
+    anything else, a float or bool array included, raises :class:`ParameterError`.
+    """
     _check_format(format)
     if labels is not None:
-        given = np.asarray(labels)
-        # The int64 cast would wrap a uint64 label of 2**63 or more to a negative.
-        if given.dtype == np.uint64 and (given >= 2**63).any():
-            raise ParameterError("labels must be non-negative and below 2**63")
-        try:
-            labels = np.asarray(labels, dtype=np.int64)
-        except OverflowError:
-            raise ParameterError("labels must be non-negative and below 2**63") from None
+        labels = np.asarray(labels)
         if labels.shape != (features.n_rows,):
             raise ParameterError("labels length does not match rows")
-        if (labels < 0).any():
-            raise ParameterError("binary/CSV labels must be non-negative")
+        # numpy holds a list with 2**63 or more as float64 or objects: not kind "i" or "u".
+        if labels.dtype.kind not in "iu" or ((labels < 0) | (labels >= 2**63)).any():
+            raise ParameterError("labels must be non-negative and below 2**63 (integers only)")
         if format == "binary" and (labels > _MAX_BINARY_LABEL).any():
             raise ParameterError(f"binary labels must be at most {_MAX_BINARY_LABEL}")
     if format == "csv":

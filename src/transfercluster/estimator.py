@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledSet, ProbeSplit, as_values
+from .dataset import LabeledSet, ProbeSplit, as_values, parse_digits
 from .errors import ParameterError
 from .kmeans import constrained_kmeans
 from .metrics import clustering_accuracy, silhouettes
@@ -65,9 +65,10 @@ def default_threads() -> int:
     value = os.environ.get("DTC_THREADS", "")
     if not value:
         return 1
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+    threads = parse_digits(value)
+    if not threads:
         raise ParameterError(f"DTC_THREADS must be a positive integer, got {value!r}")
-    return int(value)
+    return threads
 
 
 def parallel_map(fn, items, workers: int) -> list:

@@ -8,7 +8,7 @@ manifest writes byte-identical files, manifest included.
 
 import hashlib
 
-from .dataset import read_text
+from .dataset import parse_digits, read_text
 from .errors import DataError
 
 
@@ -53,10 +53,10 @@ def read_manifest(path) -> dict:
         elif key == "version":
             record["version"] = value
         elif key.startswith("argv."):
-            try:
-                record["argv"][int(key[5:])] = value
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad argv index in '{key}'") from None
+            index = parse_digits(key[5:])
+            if index is None or index in record["argv"]:
+                raise DataError(f"{path}: line {lineno}: bad or repeated argv index in '{key}'")
+            record["argv"][index] = value
         elif key.startswith("config."):
             record["config"][key[7:]] = value
         elif key.startswith("input.") and key.endswith(".sha256"):

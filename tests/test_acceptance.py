@@ -279,7 +279,7 @@ def test_criterion_8_count_estimation():
             novel = FeatureMatrix(unlabeled.values[rows],
                                   tuple(unlabeled.ids[i] for i in rows))
             rep = estimate_class_count(labeled, novel, split, k_max=20,
-                                       tau=0.01, seed=seed, threads=4)
+                                       tau=0.01, seed=seed, threads=1)
             hits += abs(rep.k_final - k_true) <= 1
         summary.append(f"K={k_true}: {hits}/10")
         ok &= hits >= 8

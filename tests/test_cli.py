@@ -14,9 +14,20 @@ import transfercluster
 from transfercluster import cli
 from transfercluster.cli import main
 from transfercluster.dataset import LabeledSet, load_features, load_labeled, split_probes
-from transfercluster.encoder import forward, load_encoder
+from transfercluster.encoder import EncoderParams, LayerParams, forward, load_encoder, save_encoder
 from transfercluster.estimator import estimate_class_count, sweep_report_to_csv
-from transfercluster.manifest import read_manifest
+from transfercluster.manifest import read_manifest, write_manifest
+
+
+# How a bad value in an id,value file is spelled, by test case suffix.
+BAD_ID_VALUES = {"int64-overflow": str(2**63), "underscore": "1_0", "space": " 7",
+                 "arabic-indic-digit": "\u0662", "plus-sign": "+3"}
+
+# A synth command that replays, one manifest line per argument.
+SYNTH_MANIFEST = b"command=synth\n" + b"\n".join(
+    f"argv.{i}={arg}".encode() for i, arg in enumerate(
+        ["synth", "--labeled-classes", "2", "--unlabeled-classes", "2", "--per-class", "5",
+         "--dim", "2", "--sep", "6", "--out-dir", "OUT"]))
 
 
 def run(*argv):
@@ -87,7 +98,7 @@ class TestPretrain:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("label", ["-1", str(10**23)])
+    @pytest.mark.parametrize("label", ["-1", str(10**23), "1_0", " 7", "\u0662", "+3"])
     def test_label_outside_the_written_range_is_data_error(self, synth_dir, tmp_path,
                                                            capsys, label):
         lines = (synth_dir / "labeled.csv").read_text().splitlines()
@@ -331,6 +342,19 @@ class TestSweep:
                    "--sweep", "bottleneck", "--values", "2,3",
                    "--out-dir", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--values", "2", "--lr", -1), "learning rate must be positive and finite"),
+        (("--values", "2,1"), "k must be at least 2, got 1"),
+    ], ids=["lr-negative", "second-k-below-two"])
+    def test_every_point_is_checked_before_any_file_is_read(self, tmp_path, capsys,
+                                                            flags, message):
+        """Every input path here is missing, which would exit 2."""
+        missing = tmp_path / "missing"
+        assert run("sweep", "--encoder", missing, "--data", missing, "--truth", missing,
+                   "--sweep", "k", *flags, "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_values_is_usage_error(self, synth_dir, encoder_path, tmp_path):
         assert run("sweep", "--encoder", encoder_path,
                    "--data", synth_dir / "unlabeled.csv",
@@ -366,10 +390,14 @@ class TestManifests:
                                        b"command=eval\nargv.0=eval\nargv.2=--k",
                                        b"command=eval\nargv.0=eval",
                                        b"command=eval\nargv.0=synth\nargv.1=--out-dir\n"
-                                       b"argv.2=OUT"],
+                                       b"argv.2=OUT",
+                                       SYNTH_MANIFEST.replace(b"\nargv.1=", b"\nargv. 1="),
+                                       SYNTH_MANIFEST.replace(b"\nargv.1=",
+                                                              b"\nargv.01=--seed\nargv.1=")],
                              ids=["bad-argv-index", "not-utf8", "replays-rerun",
                                   "no-argv", "argv-gap", "replayed-usage-error",
-                                  "command-argv-mismatch"])
+                                  "command-argv-mismatch", "spaced-argv-index",
+                                  "repeated-argv-index"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, lines):
         manifest = tmp_path / "bad.manifest"
         lines = lines.replace(b"MANIFEST", str(manifest).encode())
@@ -417,7 +445,9 @@ class TestErrorPaths:
                                       "dtce-bn-flag-7", "csv-not-utf8",
                                       "truth-not-utf8", "dtcf-no-columns",
                                       "truth-repeated-id", "assignments-repeated-id",
-                                      "truth-int64-overflow", "assignments-int64-overflow"])
+                                      "truth-int64-overflow", "assignments-int64-overflow",
+                                      "truth-underscore", "truth-space",
+                                      "truth-arabic-indic-digit", "assignments-plus-sign"])
     def test_malformed_file_is_data_error(self, synth_dir, encoder_path, tmp_path,
                                           capsys, case):
         bad = tmp_path / "bad"
@@ -450,7 +480,7 @@ class TestErrorPaths:
         elif case == "truth-not-utf8":
             bad.write_bytes(truth.read_bytes() + b"\xff,0\n")
             files["--truth"] = bad
-        elif case.endswith(("repeated-id", "int64-overflow")):
+        elif case.endswith("repeated-id") or case.split("-", 1)[1] in BAD_ID_VALUES:
             assert "\nu1,0\n" in truth.read_text()
             assignments = tmp_path / "assignments.csv"
             assignments.write_text(truth.read_text().replace("id,label", "id,cluster", 1))
@@ -462,15 +492,39 @@ class TestErrorPaths:
                 bad.write_text(source.read_text() + "u1,1\n")
                 error = f"error: {bad}: line 77: repeated id 'u1'"
             else:
+                value = BAD_ID_VALUES[case.split("-", 1)[1]]
                 lineno = source.read_text().split("\n").index("u1,0") + 1
-                bad.write_text(source.read_text().replace("\nu1,0\n", f"\nu1,{2**63}\n"))
-                error = f"error: {bad}: line {lineno}: '{2**63}' is out of the int64 range"
+                bad.write_text(source.read_text().replace("\nu1,0\n", f"\nu1,{value}\n"))
+                error = (f"error: {bad}: line {lineno}: '{value}' is not an integer "
+                         "in -(2**63 - 1)..2**63 - 1")
         else:
             bad.write_bytes(struct.pack("<4sBIIB", b"DTCF", 1, 2, 0, 0))
             files.update({"--data": bad, "--format": "binary"})
         argv = [token for pair in files.items() for token in pair]
         assert run(*command, *argv, "--out-dir", tmp_path / "x") == 2
         assert error in capsys.readouterr().err
+
+    def test_numerical_failure_exits_3_also_on_rerun(self, synth_dir, encoder_path, tmp_path,
+                                                     capsys):
+        """A bottleneck of 1e300 * I leaves every embedding finite but its
+        squared distances do not fit a double."""
+        encoder = load_encoder(encoder_path)
+        width = encoder.trunk_output_dim
+        huge = tmp_path / "huge.dtce"
+        save_encoder(huge, EncoderParams(encoder.layers, LayerParams(1e300 * np.eye(width),
+                                                                     np.zeros(width)),
+                                         encoder.input_dim))
+        argv = ["estimate-k", "--encoder", str(huge), "--probe", str(synth_dir / "labeled.csv"),
+                "--data", str(synth_dir / "unlabeled.csv"), "--k-max", "4",
+                "--out-dir", str(tmp_path / "out")]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "error: k-means++ distances overflow; rescale the data\n")
+        manifest = tmp_path / "estimate-k.manifest"
+        write_manifest(manifest, "estimate-k", argv, {}, {"encoder": huge}, {},
+                       transfercluster.__version__)
+        assert run("rerun", manifest) == 3
+        assert capsys.readouterr().err.endswith("error: replayed command exited with 3\n")
 
     @pytest.mark.parametrize("case", ["synth-sep-nan", "synth-sep-inf", "pretrain-lr-nan",
                                       "pretrain-lr-inf", "cluster-lr-nan", "cluster-lr-inf"])

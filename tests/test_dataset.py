@@ -168,9 +168,19 @@ class TestCsvFormat:
             save_features(path, fm, fmt, labels=[label, 1])
         assert not path.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("labels", [[1.5, 2.0, 0.7], [True, False, True]],
+                             ids=["float", "bool"])
+    def test_non_integer_labels_rejected(self, tmp_path, fmt, labels):
+        """A float or bool label would be written truncated or as 0/1."""
+        fm = FeatureMatrix(np.zeros((3, 1)), ("a", "b", "c"))
+        path = tmp_path / "f"
+        with pytest.raises(ParameterError, match=re.escape("non-negative and below 2**63")):
+            save_features(path, fm, fmt, labels=labels)
+        assert not path.exists()
+
     def test_uint64_label_beyond_int64_rejected_for_its_range(self, tmp_path):
-        """A uint64 array holds 2**63 without overflow; the int64 cast would
-        wrap it to a negative and give the wrong reason."""
+        """A uint64 array holds 2**63 exactly; the check refuses it by value."""
         fm = FeatureMatrix(np.zeros((2, 1)), ("a", "b"))
         path = tmp_path / "f.csv"
         with pytest.raises(ParameterError, match=re.escape("non-negative and below 2**63")):

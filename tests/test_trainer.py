@@ -115,6 +115,15 @@ class TestTrain:
         for rec in trace.records:
             assert rec.mass_hist.sum() == unlabeled.n_rows
 
+    def test_explicit_ramp_sets_every_omega(self):
+        """``ramp=3`` replaces the default length, here 2 + 4 // 2 = 4 epochs."""
+        encoder, unlabeled, _ = small_problem(seed=6)
+        config = TrainConfig(k=3, variant="pi", warmup_epochs=2, main_epochs=4, ramp=3,
+                             seed=6)
+        ready, protos, _ = initialize(encoder, unlabeled, config)
+        trace = train(ready, protos, unlabeled, config)
+        assert [r.omega for r in trace.records] == [ramp_weight(3, t) for t in range(6)]
+
     def test_targets_frozen_through_warmup(self, monkeypatch):
         """One target set serves the whole warm-up; it is refreshed after the
         warm-up and after every main epoch."""
