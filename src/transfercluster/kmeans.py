@@ -148,39 +148,41 @@ def _plusplus_init(x, x_sq, n_new, rngs, existing):
     chosen = np.empty((n_runs, n_new), dtype=np.int64)
     if not n_new:
         return chosen
-    if len(existing):
-        d2 = np.tile(distances.expanded(x, existing, x_sq).min(axis=1), (n_runs, 1))
-    else:
-        d2 = np.full((n_runs, n), np.inf)
-    new = np.empty((n_runs, n))    # the draw's distances, first its probabilities
-    work = np.empty((n_runs, n))   # the draw's cdf, then its products
-    for j in range(n_new):
-        if j == 0 and not len(existing):
-            chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    # An overflowing D^2 raises NumericalError below, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(existing):
+            d2 = np.tile(distances.expanded(x, existing, x_sq).min(axis=1), (n_runs, 1))
         else:
-            totals = d2.sum(axis=1)
-            if not np.isfinite(totals).all():
-                raise NumericalError("k-means++ distances overflow; rescale the data")
-            if (totals == 0).any():
-                raise ParameterError(
-                    f"{n_new} free clusters but only {j} distinct free positions "
-                    "off the anchor centers"
-                )
-            np.divide(d2, totals[:, None], out=new)
-            np.cumsum(new, axis=1, out=work)
-            work /= work[:, -1:].copy()
-            chosen[:, j] = [cdf.searchsorted(rng.random(), side="right")
-                            for cdf, rng in zip(work, rngs)]
-        if j + 1 == n_new:
-            break
-        centers = x[chosen[:, j]]
-        for center, products in zip(centers, work):
-            np.matmul(x, center, out=products)
-        work *= 2.0
-        np.add.outer(np.einsum("rc,rc->r", centers, centers), x_sq, out=new)
-        new -= work
-        np.maximum(new, 0.0, out=new)
-        np.minimum(d2, new, out=d2)
+            d2 = np.full((n_runs, n), np.inf)
+        new = np.empty((n_runs, n))    # the draw's distances, first its probabilities
+        work = np.empty((n_runs, n))   # the draw's cdf, then its products
+        for j in range(n_new):
+            if j == 0 and not len(existing):
+                chosen[:, 0] = [rng.integers(n) for rng in rngs]
+            else:
+                totals = d2.sum(axis=1)
+                if not np.isfinite(totals).all():
+                    raise NumericalError("k-means++ distances overflow; rescale the data")
+                if (totals == 0).any():
+                    raise ParameterError(
+                        f"{n_new} free clusters but only {j} distinct free positions "
+                        "off the anchor centers"
+                    )
+                np.divide(d2, totals[:, None], out=new)
+                np.cumsum(new, axis=1, out=work)
+                work /= work[:, -1:].copy()
+                chosen[:, j] = [cdf.searchsorted(rng.random(), side="right")
+                                for cdf, rng in zip(work, rngs)]
+            if j + 1 == n_new:
+                break
+            centers = x[chosen[:, j]]
+            for center, products in zip(centers, work):
+                np.matmul(x, center, out=products)
+            work *= 2.0
+            np.add.outer(np.einsum("rc,rc->r", centers, centers), x_sq, out=new)
+            new -= work
+            np.maximum(new, 0.0, out=new)
+            np.minimum(d2, new, out=d2)
     return chosen
 
 

@@ -102,6 +102,9 @@ class TrainConfig:
             raise ParameterError(f"ema momentum must be in [0, 1), got {self.ema_momentum}")
         if self.ramp is not None and self.ramp < 1:
             raise ParameterError(f"ramp length must be at least 1 epoch, got {self.ramp}")
+        if self.bottleneck_dim is not None and self.bottleneck_dim < 1:
+            raise ParameterError(
+                f"bottleneck dimension must be at least 1, got {self.bottleneck_dim}")
 
     @property
     def c(self) -> int:

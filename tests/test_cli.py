@@ -343,15 +343,18 @@ class TestSweep:
                    "--out-dir", tmp_path / "x") == 1
 
     @pytest.mark.parametrize("flags,message", [
-        (("--values", "2", "--lr", -1), "learning rate must be positive and finite"),
-        (("--values", "2,1"), "k must be at least 2, got 1"),
-    ], ids=["lr-negative", "second-k-below-two"])
+        (("--sweep", "k", "--values", "2", "--lr", -1),
+         "learning rate must be positive and finite"),
+        (("--sweep", "k", "--values", "2,1"), "k must be at least 2, got 1"),
+        (("--sweep", "bottleneck", "--k", 3, "--values", "3,0"),
+         "bottleneck dimension must be at least 1, got 0"),
+    ], ids=["lr-negative", "second-k-below-two", "second-bottleneck-below-one"])
     def test_every_point_is_checked_before_any_file_is_read(self, tmp_path, capsys,
                                                             flags, message):
         """Every input path here is missing, which would exit 2."""
         missing = tmp_path / "missing"
         assert run("sweep", "--encoder", missing, "--data", missing, "--truth", missing,
-                   "--sweep", "k", *flags, "--out-dir", tmp_path / "out") == 1
+                   *flags, "--out-dir", tmp_path / "out") == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -503,6 +506,14 @@ class TestErrorPaths:
         argv = [token for pair in files.items() for token in pair]
         assert run(*command, *argv, "--out-dir", tmp_path / "x") == 2
         assert error in capsys.readouterr().err
+
+    def test_bottleneck_below_one_is_checked_before_any_file_is_read(self, tmp_path, capsys):
+        """Every input path here is missing, which would exit 2."""
+        missing = tmp_path / "missing"
+        assert run("cluster", "--encoder", missing, "--data", missing, "--k", 3,
+                   "--bottleneck", 0, "--out-dir", tmp_path / "out") == 1
+        assert "bottleneck dimension must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exits_3_also_on_rerun(self, synth_dir, encoder_path, tmp_path,
                                                      capsys):
