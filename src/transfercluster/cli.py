@@ -140,6 +140,13 @@ def _train_config(ns, k, bottleneck):
     )
 
 
+def _check_bottleneck(encoder, config):
+    """Refuse a bottleneck wider than the encoder's trunk, before any data is read."""
+    if config.c > encoder.trunk_output_dim:
+        raise ParameterError(f"bottleneck dimension {config.c} exceeds the encoder's "
+                             f"trunk width {encoder.trunk_output_dim}")
+
+
 def _run_cluster(encoder, data, config):
     ready, protos, _ = initialize(encoder, data, config)
     return train(ready, protos, data, config)
@@ -153,6 +160,8 @@ def cmd_cluster(ns, argv):
     config = _train_config(ns, 2 if ns.auto_k else ns.k, ns.bottleneck)
     threads = default_threads() if ns.auto_k else 1
     encoder = load_encoder(ns.encoder)
+    if not ns.auto_k or ns.bottleneck is not None:   # --auto-k alone sets k later
+        _check_bottleneck(encoder, config)
     data = load_features(ns.data, ns.format)
     out = _out_dir(ns)
     inputs = {"encoder": ns.encoder, "data": ns.data}
@@ -264,6 +273,8 @@ def cmd_sweep(ns, argv):
         configs = [_train_config(ns, value, None) for value in values]
     threads = default_threads()
     encoder = load_encoder(ns.encoder)
+    for config in configs:
+        _check_bottleneck(encoder, config)
     data = load_features(ns.data, ns.format)
     truth = _read_truth(ns.truth, data.ids)
 

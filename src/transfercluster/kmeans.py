@@ -20,12 +20,64 @@ a float32 pass can certify it (below), and elsewhere at the float64
 is left out.  Rounding makes either differ from the argmin of
 :func:`distances.expanded`, or from a float64 product against one
 restart's centers alone, only where two centers' rounded distances tie.
-The centroid sums are each restart's own ``onehot.T @ x``, and the
-division, empty test and shift run elementwise or per row over all
-restarts at once, so off ties every restart ends with the centers,
-assignment, inertia and iteration count it reaches run on its own.
-Non-finite data raises :class:`DataError`, and a k-means++ draw whose D^2
-total overflows raises :class:`NumericalError`.
+The centroid sums are exact (below), and the division, empty test and
+shift run elementwise or per row over all restarts at once, so off ties
+every restart ends with the centers, assignment, inertia and iteration
+count it reaches run on its own, at any BLAS thread count.  Non-finite
+data raises :class:`DataError`, and a k-means++ draw whose D^2 total
+overflows, or centroid sums that cannot be formed exactly (below),
+raise :class:`NumericalError`.
+
+Exact centroid sums (rounding to a common exponent, as in Demmel &
+Nguyen, ARITH 2013; updates from the rows that moved, as in MacQueen
+1967 and Hartigan & Wong 1979).  Let n count every row, anchors
+included, m be the free rows' float64 mean, and s_j = max_i
+|fl(x_ij - m_j)| over every row.  Column j goes on a grid of step 2^-e_j, where e_j is the largest
+integer with n s_j 2^e_j <= 2^52 (e_j = 0 where s_j = 0).  A row's grid
+value is the integer g = rint(fl(x - m) 2^e_j), scaled by ``np.ldexp``.
+
+* Exactness.  |fl(x - m)| 2^e_j <= 2^52 / n, so |g| <= 2^52 / n + 1/2,
+  and a sum of at most n grid values, each taken with either sign, lies
+  below 2^52 + n / 2 < 2^53.  Every partial sum of it is then an integer
+  that float64 holds exactly, so every add is exact and the sum has the
+  same bits in any order, row blocking, FMA use or BLAS thread split.
+  A restart's first update forms ``onehot(labels).T @ grid`` over the
+  free rows in row blocks, plus the anchors' per-cluster sums, formed
+  once per call.  Each later update adds ``delta.T @ grid[rows]`` over
+  the rows whose label changed, delta holding +1 at the new label and -1
+  at the old one.  Each entry of that product is a signed sum over at
+  most n rows, and adding it to a cluster's sum gives the sum over the
+  cluster's new members, again at most n rows: every step stays exact.
+  The center is ``ldexp(sums / max(count, 1), -e_j) + m_j``.
+* Quantization.  Rounding to the grid moves fl(x - m) by at most half a
+  step, 2^-(e_j + 1).  Since e_j is the largest exponent allowed,
+  n s_j 2^(e_j + 1) > 2^52, so half a step is below n s_j 2^-52, and so
+  is the error of a cluster's mean of grid values; the centring has
+  already rounded by at most 2^-53 |x - m|, as in the label passes.  A
+  float64 sum of the same n centred values, in any order, errs by up to
+  n 2^-53 / (1 - n 2^-53) times n s_j (Higham, cited below), so its mean
+  by about n s_j 2^-53: the grid's bound is within 2x of the float64
+  product's worst-case rounding, and far below it when the uncentred
+  rows share an offset.  The division, the scaling
+  back and the add of m_j then round once each, as any float64 mean does.
+* Edge columns.  At a zero column (s_j = 0) every row holds m_j, every
+  grid value is 0 and the center holds m_j exactly.  At a subnormal
+  column e_j reaches up to 1126; scaling a subnormal up by a power of
+  two loses no bit, and scaling a center back into the subnormal range
+  rounds once, as any float64 result there does.  Near 1e308, e_j is
+  negative: scaling down is exact wherever its result is normal, and
+  where it falls below 2^-1022 the value is below 1/2, so ``rint``
+  gives 0 with or without that rounding.  There the free rows' sum, and
+  so m, or some fl(x - m) can overflow; then no grid exists, and the
+  call raises :class:`NumericalError` (exit 3).  Otherwise the sums are
+  exact, so every finite input gives exact sums or that error.  A center
+  can still round past the largest double, by at most the bounds above;
+  each exact mean lies within the rows' range, so the center is clamped
+  to the largest double, which is nearer the mean.
+
+``tests/test_kmeans.py`` checks the exponent choice, the exactness bound
+and the quantization bound in exact rational arithmetic, as it does for
+the certificate constants below.
 
 Certified float32 labels.  Let u = 2^-24 be float32's unit roundoff,
 gamma_n = n u / (1 - n u), and m the free rows' float64 mean.  For a
@@ -100,6 +152,7 @@ N_INIT = 10      # k-means++ restarts per call
 MAX_ITER = 300   # Lloyd iterations per restart
 TOL = 1e-6       # largest center shift that counts as converged
 _U32 = 2.0**-24  # float32 unit roundoff
+_LARGEST = np.finfo(np.float64).max
 _GATE = 2.0**100  # |x - mean|^2 or a restart's largest |mu - mean|^2 at or above: no certificate
 # float32 scores in one label block (1 MiB, half a 2 MiB L2), so the
 # passes after the product read it from cache.  One thread of a 2-core
@@ -186,8 +239,20 @@ def _plusplus_init(x, x_sq, n_new, rngs, existing):
     return chosen
 
 
+def _grid_exponents(spread, n):
+    """Each column's grid exponent e_j: the largest integer with
+    n * spread_j * 2**e_j <= 2**52, or 0 where spread_j is 0 (see the
+    module docstring).  With spread_j = M 2**(p - 53) for an integer M,
+    that is e_j = 105 - p - ceil(log2(n M)), taken in Python integers.
+    They come back as C ints, which ``np.ldexp`` takes far faster than
+    int64: 35 against 385 us for 10 x 110 x 64 values, one thread."""
+    mantissas, powers = np.frexp(spread)
+    return np.array([105 - p - (n * int(f * 2.0**53) - 1).bit_length() if f else 0
+                     for f, p in zip(mantissas.tolist(), powers.tolist())], dtype=np.intc)
+
+
 class _FreeRows:
-    """The free rows as the label passes read them.
+    """The free rows as the label passes and centroid updates read them.
 
     Built once per call in row blocks: ``rows`` holds the float32 rows
     fl32(x - mean) transposed, (c, n): a product of a few stacked centers
@@ -196,30 +261,59 @@ class _FreeRows:
     thread).  ``margin`` holds each row's fl32(2 gamma_{c+8} X) (see the
     module docstring).  A row at or above the gate has zeros and a
     NaN margin.  The float64 fallback gathers rows from ``x`` by ``idx``.
+    ``grid`` (n, c) holds the free rows on the centroid grid of exponents
+    ``exps``: the integers rint(fl(x - mean) 2**exps), as float64.  The
+    exponents also cover the ``anchor_rows``, which :meth:`to_grid` puts
+    on the same grid.  Raises :class:`NumericalError` where the mean or a
+    centred value overflows.
     """
 
-    def __init__(self, x, idx):
+    def __init__(self, x, idx, anchor_rows):
         n, c = idx.size, x.shape[1]
         self.x, self.idx = x, idx
         # 2 gamma_{c+8} and the threshold's underflow term; no certificate at c >= 2^20.
         ratio = (c + 8) * _U32
         self.coef = 2 * ratio / (1 - ratio) if c < 2**20 else np.nan
         self.floor = (c + 1) * 2.0**-146
-        total = np.zeros(c)
-        for block in distances.row_blocks(n, c):
-            total += x[idx[block]].sum(axis=0)
-        self.mean = total / max(n, 1)
-        self.rows = np.empty((c, n), dtype=np.float32)
-        sq = np.empty(n)
-        for block in distances.row_blocks(n, c):
-            part = x[idx[block]]
-            part -= self.mean
-            np.einsum("nc,nc->n", part, part, out=sq[block])
-            part[~(sq[block] < _GATE)] = 0.0
-            self.rows[:, block] = part.T
+        # An overflowing mean or centred value raises NumericalError below, not
+        # a numpy warning; a row whose float32 copy overflows is past the gate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.zeros(c)
+            for block in distances.row_blocks(n, c):
+                total += x[idx[block]].sum(axis=0)
+            self.mean = total / max(n, 1)
+            self.rows = np.empty((c, n), dtype=np.float32)
+            self.grid = np.empty((n, c))
+            anchors = x[anchor_rows]
+            anchors -= self.mean
+            # max |fl(x - mean)| per column, from column extremes: no (rows, c) temporary
+            top, bottom = anchors.max(axis=0, initial=0.0), anchors.min(axis=0, initial=0.0)
+            del anchors
+            sq = np.empty(n)
+            for block in distances.row_blocks(n, c):
+                part = self.grid[block]
+                np.take(x, idx[block], axis=0, out=part, mode="clip")   # "raise" buffers out
+                part -= self.mean
+                np.maximum(top, part.max(axis=0, initial=0.0), out=top)
+                np.minimum(bottom, part.min(axis=0, initial=0.0), out=bottom)
+                np.einsum("nc,nc->n", part, part, out=sq[block])
+                rows = self.rows[:, block]
+                rows[...] = part.T
+                rows[:, ~(sq[block] < _GATE)] = 0.0
         sq[~(sq < _GATE)] = np.nan
         sq *= self.coef
         self.margin = sq.astype(np.float32)
+        spread = np.maximum(top, -bottom)
+        if not np.isfinite(spread).all():
+            raise NumericalError("k-means centroid sums overflow; rescale the data")
+        self.exps = _grid_exponents(spread, x.shape[0])
+        self.to_grid(self.grid)
+
+    def to_grid(self, centred):
+        """Put rows of fl(x - mean) on the centroid grid, in place:
+        rint(centred * 2**exps)."""
+        np.ldexp(centred, self.exps, out=centred)
+        return np.rint(centred, out=centred)
 
 
 def _nearest64(x, centers):
@@ -289,6 +383,25 @@ def _label_pass(free, centers, labels, active):
     return moved
 
 
+def _add_moves(sums, grid, rows, old, new):
+    """Add to one restart's (k, d) grid ``sums`` the ``rows`` of ``grid``
+    that moved from clusters ``old`` (-1: not summed yet) to ``new``.
+
+    Each block of rows adds ``delta.T @ grid[rows]``, with delta +1 at the
+    new label and -1 at the old one; an old label of -1 lands in a spare
+    last column that the product leaves out.  The sums are exact (module
+    docstring), so neither the blocks nor the product's order change a bit.
+    """
+    k, d = sums.shape
+    whole = rows.size == grid.shape[0]   # every row: read the grid in place
+    for block in distances.row_blocks(rows.size, k + d):
+        delta = np.zeros((len(new[block]), k + 1))
+        at = np.arange(len(delta))
+        delta[at, new[block]] = 1.0
+        delta[at, old[block]] = -1.0
+        sums += delta[:, :k].T @ (grid[block] if whole else grid[rows[block]])
+
+
 def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
     """Lloyd iterations of every restart in lockstep; yields each
     restart's :class:`KmeansResult` in order.
@@ -297,30 +410,31 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
     with the moving centers.  Each iteration labels the free rows of the
     running restarts in one :func:`_label_pass`, then updates every
     restart that needs it at once: one ``bincount`` for the counts, each
-    restart's own ``onehot.T @ x`` centroid sums into its slot of one
-    (U, k, d) array, then one division, one empty test and one shift for
-    all U of them.  The (n, k) one-hot buffer is shared: each restart
-    clears the free rows at the labels it shows and sets them at its own.
-    Unmoved labels after a repair-free update mean shift 0, so that
-    restart stops without a centroid pass; those that stop with a nonzero
-    shift get one more label pass, so each assignment matches its centers.
-    The label passes read the free rows from one :class:`_FreeRows`,
-    built here in place of a float64 gather of them.  ``x_sq`` (|x|^2 per
-    row) is read only in an update that leaves a cluster empty, whose
-    repair builds the ``expanded`` distances and gathers its new centers'
-    rows from ``x``.
+    restart's exact grid sums brought up to its labels by
+    :func:`_add_moves` from the rows whose label changed since its last
+    update (every row at its first), then one division, one scaling, one
+    empty test and one shift for all U of them.  Unmoved labels after a
+    repair-free update mean shift 0, so that restart stops without a
+    centroid pass; those that stop with a nonzero shift get one more label
+    pass, so each assignment matches its centers.  The label passes and
+    the sums read the free rows from one :class:`_FreeRows`, built here in
+    place of a float64 gather of them.  ``x_sq`` (|x|^2 per row) is read
+    only in an update that leaves a cluster empty, whose repair builds the
+    ``expanded`` distances and gathers its new centers' rows from ``x``.
     """
     centers = starts
-    n_runs, k = centers.shape[:2]
-    free = _FreeRows(x, free_idx)
+    n_runs, k, d = centers.shape
+    free = _FreeRows(x, free_idx, anchor_rows)
     free_labels = np.full((n_runs, free_idx.size), -1)
+    # The labels each restart's sums hold (-1: none yet), in the least
+    # integer type that holds -1..k-1, so that they add little to the peak.
+    summed = np.full(free_labels.shape, -1, dtype=np.min_scalar_type(-k))
     anchor_counts = np.bincount(anchor_cluster, minlength=k)
-    onehot = np.zeros((x.shape[0], k))
-    onehot[anchor_rows, anchor_cluster] = 1.0
-    onehot[free_idx, 0] = 1.0
-    flat = onehot.reshape(-1)
-    free_base = free_idx * k
-    shown = free_base   # the flat one-hot positions of the free rows' ones
+    anchor_sums = np.zeros((k, d))
+    every = np.arange(anchor_rows.size)
+    _add_moves(anchor_sums, free.to_grid(x[anchor_rows] - free.mean), every,
+               np.full(every.size, -1), anchor_cluster)
+    sums = np.repeat(anchor_sums[None], n_runs, axis=0)
     iterations = np.zeros(n_runs, dtype=int)
     repair_free = np.zeros(n_runs, dtype=bool)
     running = np.arange(n_runs)
@@ -333,13 +447,18 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
         counts = np.bincount((labels + k * np.arange(update.size)[:, None]).ravel(),
                              minlength=update.size * k).reshape(update.size, k)
         counts += anchor_counts
-        new_centers = np.empty((update.size, k, x.shape[1]))
-        for u in range(update.size):
-            flat[shown] = 0.0
-            shown = free_base + labels[u]
-            flat[shown] = 1.0
-            np.matmul(onehot.T, x, out=new_centers[u])
+        for u, r in enumerate(update):
+            rows = np.flatnonzero(labels[u] != summed[r])
+            _add_moves(sums[r], free.grid, rows, summed[r, rows], labels[u, rows])
+        summed[update] = labels
+        new_centers = sums[update]
         new_centers /= np.maximum(counts, 1)[:, :, None]
+        # Each exact mean lies within the rows' range, so a center that
+        # rounds past the largest double is that double (module docstring).
+        with np.errstate(over="ignore"):
+            np.ldexp(new_centers, -free.exps, out=new_centers)
+            new_centers += free.mean
+        np.clip(new_centers, -_LARGEST, _LARGEST, out=new_centers)
         # Empty clusters, in index order, reseed at the free points farthest
         # from their centers, first row first on ties; only free clusters empty.
         empty = counts == 0
@@ -361,7 +480,7 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
     # did not move give the last iteration's labels again.
     if relabel:
         _label_pass(free, centers, free_labels, np.array(relabel))
-    del onehot, flat, free
+    del free, summed, sums
     for r in range(n_runs):
         labels = np.empty(x.shape[0], dtype=np.int64)
         labels[anchor_rows] = anchor_cluster

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -96,16 +97,6 @@ def test_flags_are_printed():
     assert bench_pairs._flags({"worse_beyond_bound": False, "unresolved": False}) == ""
 
 
-def test_fault_medians_are_per_side_and_raise_no_flag():
-    """Minor page faults get a median per side, and :func:`summarize` leaves
-    them out: they are not an end-to-end metric."""
-    pairs = pairs_of([1.0] * 3, [1.0] * 3)
-    for pair, (p, c) in zip(pairs, [(900, 10), (700, 30), (800, 20)]):
-        pair["parent"]["minor_faults"], pair["change"]["minor_faults"] = p, c
-    assert bench_pairs.fault_medians(pairs) == {"parent": 800, "change": 20}
-    assert set(bench_pairs.summarize(pairs, METRICS)) == set(METRICS)
-
-
 def test_one_checkout_against_itself(tmp_path):
     """A copy committed in its own repository, timed against its HEAD."""
     repo, scratch, record = tmp_path / "repo", tmp_path / "tmp", tmp_path / "record.json"
@@ -130,20 +121,21 @@ def test_one_checkout_against_itself(tmp_path):
     assert not any(scratch.iterdir())
 
 
-def test_differing_digests_are_reported(monkeypatch, capsys):
-    """Both sides' times are printed, and then a digest that differs
-    between two runs of one seed exits 1."""
+def test_differing_digests_are_reported(monkeypatch, capsys, tmp_path):
+    """Both sides' times are printed and the record is written, and then a
+    digest that differs between two runs of one seed exits 1."""
     monkeypatch.setattr(bench_pairs, "_git", lambda *argv: "" if argv[0] == "status" else "c")
     monkeypatch.setattr(bench_pairs, "_export", lambda commit, dest: None)
+    record = tmp_path / "record.json"
     for digests, code in (({"parent": "a", "change": "a"}, 0),
                           ({"parent": "a", "change": "b"}, 1)):
         walls = iter([2.0, 1.0, 3.0, 4.0])
         monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *_: {
             "metrics": {"wall_s": {"value": next(walls)}}, "failed": 0, "attempted": 1,
-            "minor_faults": 0, "environment": None,
+            "environment": None,
             "digest": digests["change" if checkout == bench_pairs.ROOT else "parent"]})
         assert bench_pairs.main(["HEAD", "--workload", "estimate-k", "--k-max", "2",
-                                 "--seeds", "1,1"]) == code
+                                 "--seeds", "1,1", "--json", str(record)]) == code
         out, err = capsys.readouterr()
         lines = out.splitlines()
         assert lines[0].startswith("pair 1 seed 1 first=parent  parent: wall_s=2 ")
@@ -151,6 +143,52 @@ def test_differing_digests_are_reported(monkeypatch, capsys):
         assert lines[1].startswith("pair 2 seed 1 first=change  parent: wall_s=4 ")
         assert "parent median 3 [2.5, 3.5], change median 2 [1.5, 2.5]" in lines[3]
         assert err == ("" if code == 0 else "error: runs of one seed printed different digests\n")
+        written = json.loads(record.read_text())["workloads"]["estimate-k"]
+        assert written["digests_agree"] is (code == 0)
+        assert [pair["change"]["digest"] for pair in written["pairs"]] == [digests["change"]] * 2
+        record.unlink()
+
+
+# A child that records its pid, sends SIGTERM to the tool and waits to be killed.
+TERMINATING_CHILD = """
+import os, pathlib, signal, time
+pathlib.Path({pid_file!r}).write_text(str(os.getpid()))
+os.kill(os.getppid(), signal.SIGTERM)
+time.sleep(60)
+"""
+
+
+def test_sigterm_kills_the_child_and_removes_the_export(monkeypatch, tmp_path):
+    """SIGTERM while a run is waited on ends the tool with exit 143: the
+    child is killed, the ``bench_pairs-*`` export is removed, and the
+    caller's SIGTERM handler is back in place."""
+    scratch, pid_file = tmp_path / "tmp", tmp_path / "child.pid"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(bench_pairs, "_git", lambda *argv: "" if argv[0] == "status" else "c")
+    monkeypatch.setattr(bench_pairs, "_export",
+                        lambda commit, dest: (dest / "file").write_text("exported"))
+    monkeypatch.setattr(bench_pairs, "SWEEP_CHILD",
+                        TERMINATING_CHILD.format(pid_file=str(pid_file)))
+
+    class Unhandled(Exception):
+        pass
+
+    def guard(signum, frame):
+        raise Unhandled
+
+    previous = signal.signal(signal.SIGTERM, guard)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.main(["HEAD", "--workload", "estimate-k", "--k-max", "2",
+                              "--seeds", "1"])
+        assert signal.getsignal(signal.SIGTERM) is guard
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert exit_.value.code == 128 + signal.SIGTERM
+    assert not any(scratch.iterdir())
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_digests_are_compared_within_a_seed():

@@ -515,6 +515,24 @@ class TestErrorPaths:
         assert "bottleneck dimension must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("cluster", "--k", 99),
+        ("cluster", "--auto-k", "--probe", "MISSING", "--bottleneck", 99),
+        ("sweep", "--truth", "MISSING", "--sweep", "bottleneck", "--k", 3, "--values", "3,99"),
+    ], ids=["cluster-k", "cluster-auto-k-bottleneck", "sweep-second-bottleneck"])
+    def test_bottleneck_wider_than_the_trunk_is_refused_before_the_data_is_read(
+            self, tmp_path, capsys, flags):
+        """A 16-unit encoder and a missing data file, which would exit 2."""
+        encoder, missing = tmp_path / "enc.dtce", tmp_path / "missing"
+        save_encoder(encoder, EncoderParams([LayerParams(np.zeros((16, 8)), np.zeros(16))],
+                                            None, 8))
+        flags = [missing if flag == "MISSING" else flag for flag in flags]
+        assert run(*flags, "--encoder", encoder, "--data", missing,
+                   "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: bottleneck dimension 99 exceeds the encoder's trunk width 16\n")
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exits_3_also_on_rerun(self, synth_dir, encoder_path, tmp_path,
                                                      capsys):
         """A bottleneck of 1e300 * I leaves every embedding finite but its
@@ -645,27 +663,50 @@ def test_malformed_worker_threads_is_usage_error(tmp_path, monkeypatch, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def run_at_one_and_two_threads(argv, out):
+    """Run the CLI with ``argv`` in a fresh process at one and at two BLAS,
+    OpenMP and ``DTC_THREADS`` threads, writing to ``out / "1"`` and
+    ``out / "2"``; a fresh process, because BLAS reads its thread count
+    once at load time."""
+    src = str(Path(transfercluster.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   DTC_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "transfercluster.cli",
+                        *map(str, argv), "--out-dir", out / threads],
+                       env=env, capture_output=True, check=True)
+
+
 @pytest.mark.parametrize("command", ["estimate-k", "cluster"])
 def test_blas_threads_leave_outputs_unchanged(synth_dir, encoder_path, tmp_path, command):
-    """One and two BLAS and OpenMP threads write the same bytes.
-
-    Each run is a fresh process, because BLAS reads its thread count once
-    at load time.
-    """
+    """One and two BLAS and OpenMP threads write the same bytes."""
     if command == "estimate-k":
         flags = ("--probe", synth_dir / "labeled.csv", "--k-max", 5)
         outputs = ("sweep.csv", "estimate_report.txt")
     else:
         flags = ("--k", 3, "--variant", "pi", "--warmup", 2, "--epochs", 4)
         outputs = ("assignments.csv", "trace.csv")
-    src = str(Path(transfercluster.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=path)
-        argv = [command, "--encoder", encoder_path, "--data", synth_dir / "unlabeled.csv",
-                "--seed", 1, *flags, "--out-dir", tmp_path / threads]
-        subprocess.run([sys.executable, "-m", "transfercluster.cli", *map(str, argv)],
-                       env=env, capture_output=True, check=True)
+    run_at_one_and_two_threads([command, "--encoder", encoder_path,
+                                "--data", synth_dir / "unlabeled.csv", "--seed", 1, *flags],
+                               tmp_path)
     for name in outputs:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_kmeans_centroid_sums_do_not_depend_on_the_thread_count(tmp_path):
+    """The estimate-k benchmark's mixture at seed 3 (2 000 rows, 64
+    columns), through the CLI at k_max 13.  With dense ``onehot.T @ x``
+    centroid products, OpenBLAS split their 1 000-row sums differently at
+    two threads, and candidate 13's inertia in ``sweep.csv`` changed in its
+    last digits; exact grid sums give the same bytes at either count."""
+    data, enc = tmp_path / "data", tmp_path / "enc"
+    assert run("synth", "--labeled-classes", 10, "--unlabeled-classes", 10, "--per-class", 100,
+               "--dim", 64, "--sep", 6, "--seed", 3, "--out-dir", data) == 0
+    assert run("pretrain", "--labeled", data / "labeled.csv", "--seed", 0,
+               "--out-dir", enc) == 0
+    run_at_one_and_two_threads(["estimate-k", "--encoder", enc / "encoder.dtce",
+                                "--probe", data / "labeled.csv", "--data", data / "unlabeled.csv",
+                                "--k-max", 13, "--n-probe", 4, "--seed", 0], tmp_path)
+    one, two = (tmp_path / threads / "sweep.csv" for threads in ("1", "2"))
+    assert one.read_bytes() == two.read_bytes()

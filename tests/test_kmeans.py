@@ -13,12 +13,13 @@ from transfercluster import distances
 from transfercluster.dataset import synth_mixture
 from transfercluster.errors import DataError, NumericalError, ParameterError
 from transfercluster.kmeans import (
-    KmeansResult, _exact_inertia, _FreeRows, _label_pass, _lloyd, _plusplus_init,
-    constrained_kmeans, kmeans,
+    KmeansResult, _add_moves, _exact_inertia, _FreeRows, _grid_exponents, _label_pass, _lloyd,
+    _plusplus_init, constrained_kmeans, kmeans,
 )
 from transfercluster.seeding import rng_for
 
 KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
+NO_PINS = np.array([], dtype=np.int64)
 from transfercluster.metrics import clustering_accuracy
 
 
@@ -60,20 +61,24 @@ def sequential_labels(x, centers, anchor_rows, anchor_cluster):
 
 def sequential_lloyd(x, x_sq, centers, anchor_rows, anchor_cluster, free_idx, k):
     """Oracle: one restart's Lloyd iterations run on their own, with a
-    label product over every row per pass and a one-hot buffer set and
-    cleared every pass."""
+    label product over every row per pass and every cluster's grid sum
+    formed anew per pass as one one-hot product over every row.  The grid
+    and its mean and exponents are :class:`_FreeRows`'; the sums are exact,
+    so the lockstep loop's updates from the rows that moved must match."""
     n = x.shape[0]
     rows = np.arange(n)
+    free = _FreeRows(x, free_idx, anchor_rows)
+    grid = free.to_grid(x - free.mean)
     onehot = np.zeros((n, k))
     for iterations in range(1, KMEANS.MAX_ITER + 1):
         labels = sequential_labels(x, centers, anchor_rows, anchor_cluster)
 
         counts = np.bincount(labels, minlength=k)
         onehot[rows, labels] = 1.0
-        sums = onehot.T @ x
+        sums = onehot.T @ grid
         onehot[rows, labels] = 0.0
-        new_centers = np.where(counts[:, None] > 0,
-                               sums / np.maximum(counts, 1)[:, None], centers)
+        means = np.ldexp(sums / np.maximum(counts, 1)[:, None], -free.exps) + free.mean
+        new_centers = np.where(counts[:, None] > 0, means, centers)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             d2 = distances.expanded(x, centers, x_sq)
@@ -625,21 +630,147 @@ class TestLockstep:
 
     def test_peak_is_the_sequential_peak_plus_one_label_matrix(self):
         """1 400 x 64 rows, k = 24, 300 pinned rows.  Run one restart at a
-        time, these inputs peaked at 1 699 512 B (numpy 2.4): the free rows,
-        the one-hot buffer and an (n, k) score array, then the (n, d)
-        inertia temporary.  Lockstep may add one (N_INIT, n) label matrix."""
+        time with one-hot centroid products, these inputs peaked at
+        1 699 512 B (numpy 2.4): the free rows, the (n, k) one-hot buffer
+        and an (n, k) score array, then the (n, d) inertia temporary.  The
+        grid sums drop the one-hot buffer, 268 800 B, and keep the free
+        rows' (n_free, d) float64 grid through the call, 563 200 B; the
+        whole call measured 1 981 733 B.  Lockstep may add one (N_INIT, n)
+        label matrix."""
         rng = np.random.default_rng(0)
-        n = 1400
-        x = rng.normal(size=(n, 64))
+        n, n_free, d, k = 1400, 1100, 64, 24
+        x = rng.normal(size=(n, d))
         pinned = np.full(n, -1)
-        pinned[:300] = np.arange(300) % 10
+        pinned[:n - n_free] = np.arange(n - n_free) % 10
         tracemalloc.start()
         try:
-            constrained_kmeans(x, 24, pinned, seed=0)
+            constrained_kmeans(x, k, pinned, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1_699_512 + KMEANS.N_INIT * n * 8
+        assert peak <= 1_699_512 - n * k * 8 + n_free * d * 8 + KMEANS.N_INIT * n * 8
+
+
+class TestGridSums:
+    """The exact centroid sums of the module docstring."""
+
+    def test_exponents_keep_every_sum_exact_in_rational_arithmetic(self):
+        """Spreads from the least subnormal to the largest double, row counts
+        from 1 to 2^31 - 1: e is the largest exponent with n s 2^e <= 2^52,
+        a sum of n grid values of at most 2^52 / n + 1/2 stays below 2^53,
+        and half a step is below n s 2^-52."""
+        spreads = [5e-324, 2.0**-1022, 1e-300, 0.1, 1.0, 3.0, 2.0**52, 1e300,
+                   np.finfo(float).max]
+        for n in [1, 2, 3, 7, 1000, 1024, 10_000, 2**31 - 1]:
+            for s, e in zip(spreads, _grid_exponents(np.array(spreads), n)):
+                s, step = Fraction(s), Fraction(2) ** -int(e)
+                assert n * s / step <= 2**52 < 2 * n * s / step
+                assert n * (Fraction(2**52, n) + Fraction(1, 2)) < 2**53
+                assert step / 2 < n * s / 2**52
+        assert _grid_exponents(np.zeros(3), 5).tolist() == [0, 0, 0]
+
+    def test_grid_values_are_integers_within_half_a_step(self):
+        """A zero, a subnormal, an offset and a near-1e300 column, with
+        anchors: each grid value is an integer within half a step of
+        fl(x - m) 2^e and at most 2^52 / n + 1/2, in exact rational
+        arithmetic, and the anchors share the free rows' grid."""
+        rng = np.random.default_rng(3)
+        x = np.column_stack([np.full(50, 2.5), rng.normal(size=50) * 1e-310,
+                             rng.normal(size=50) + 1e6, rng.normal(size=50) * 1e300])
+        free_idx = np.arange(10, 50)
+        free = _FreeRows(x, free_idx, np.arange(10))
+        grid = free.to_grid(x - free.mean)
+        np.testing.assert_array_equal(grid[free_idx], free.grid)
+        assert free.exps[0] == 0 and not grid[:, 0].any()
+        for row, values in zip(x - free.mean, grid):
+            for centred, g, e in zip(row, values, free.exps):
+                assert g == int(g)
+                assert abs(Fraction(g) - Fraction(centred) * Fraction(2) ** int(e)) <= 0.5
+                assert abs(Fraction(g)) <= Fraction(2**52, 50) + Fraction(1, 2)
+        # Half a step, the centring, the division and the add of the mean.
+        center = kmeans(x[:, :3], 1, seed=0).centers[0]
+        mean = _FreeRows(x[:, :3], np.arange(50), NO_PINS).mean
+        assert center[0] == 2.5
+        for j in (1, 2):
+            spread = Fraction(np.abs(x[:, j] - mean[j]).max())
+            error = abs(Fraction(center[j]) - sum(map(Fraction, x[:, j])) / 50)
+            assert error <= 51 * spread / 2**52 + Fraction(np.spacing(center[j])) / 2
+
+    def test_centers_keep_their_bits_when_rows_are_permuted_within_clusters(self, monkeypatch):
+        """The same clusters listed in another row order, and summed in
+        blocks of 7 rows as well as in one product, give the same sums and
+        centers to the bit; each sum is the exact integer sum."""
+        rng = np.random.default_rng(4)
+        n, d, k = 300, 6, 5
+        x = rng.normal(size=(n, d)) * [1, 10, 1e-3, 1e5, 1, 1] + 1e3
+        labels = rng.integers(0, k, size=n)
+        free = _FreeRows(x, np.arange(n), NO_PINS)
+        none = np.full(n, -1)
+        centers = []
+        for order in (np.arange(n), rng.permutation(n), np.argsort(labels, kind="stable")):
+            sums = np.zeros((k, d))
+            _add_moves(sums, free.grid[order], np.arange(n), none, labels[order])
+            blocked = np.zeros((k, d))
+            with monkeypatch.context() as patch:
+                patch.setattr(distances, "BLOCK_ELEMENTS", 7 * (k + d))
+                _add_moves(blocked, free.grid[order], np.arange(n), none, labels[order])
+            np.testing.assert_array_equal(blocked, sums)
+            counts = np.bincount(labels, minlength=k)[:, None]
+            centers.append(np.ldexp(sums / counts, -free.exps) + free.mean)
+        exact = [[sum(int(g) for g in free.grid[labels == c, j]) for j in range(d)]
+                 for c in range(k)]
+        assert sums.tolist() == exact
+        for other in centers[1:]:
+            np.testing.assert_array_equal(other, centers[0])
+
+    def test_updates_from_moved_rows_match_the_dense_sums(self):
+        """One restart's sums through 40 updates that each move 5 % to 60 %
+        of 500 rows, anchors included, equal the dense one-hot sums of the
+        final labels bit for bit, and so do its centers."""
+        rng = np.random.default_rng(5)
+        n, d, k = 500, 9, 8
+        x = rng.normal(size=(n, d)) * rng.uniform(0.01, 100, size=d) - 50
+        anchor_rows = np.arange(60)
+        anchor_cluster = anchor_rows % 3
+        free_idx = np.arange(60, n)
+        free = _FreeRows(x, free_idx, anchor_rows)
+        sums = np.zeros((k, d))
+        np.add.at(sums, anchor_cluster, free.to_grid(x[anchor_rows] - free.mean))
+        labels = np.full(free_idx.size, -1)
+        for _ in range(40):
+            new = labels.copy()
+            moving = rng.random(free_idx.size) < rng.uniform(0.05, 0.6)
+            new[moving | (labels < 0)] = rng.integers(0, k, size=(moving | (labels < 0)).sum())
+            rows = np.flatnonzero(new != labels)
+            _add_moves(sums, free.grid, rows, labels[rows], new[rows])
+            labels = new
+        every = np.empty(n, dtype=np.int64)
+        every[anchor_rows], every[free_idx] = anchor_cluster, labels
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), every] = 1.0
+        dense = onehot.T @ free.to_grid(x - free.mean)
+        np.testing.assert_array_equal(sums, dense)
+        counts = np.maximum(np.bincount(every, minlength=k), 1)[:, None]
+        np.testing.assert_array_equal(np.ldexp(sums / counts, -free.exps) + free.mean,
+                                      np.ldexp(dense / counts, -free.exps) + free.mean)
+
+    @pytest.mark.parametrize("rows", [[[1.7e308], [1.7e308], [-1e308]],
+                                      [[1.7e308], [-1e308], [-1e308]]],
+                             ids=["mean-overflows", "centred-value-overflows"])
+    def test_rows_without_a_grid_raise(self, rows):
+        """With k = 1 no seeding draw runs first; before the grid, the
+        first returned an infinite center and the second an infinite
+        inertia, each after numpy warnings."""
+        with pytest.raises(NumericalError, match="centroid sums overflow"):
+            kmeans(np.array(rows), 1, seed=0)
+
+    def test_center_rounding_past_the_largest_double_is_clamped(self):
+        """Anchors at +-max: the grid rounds each up to 2^1024, past the
+        largest double, and the clamp gives each its own value back."""
+        top = np.finfo(float).max
+        result = constrained_kmeans(np.array([[top], [-top]]), 2, [0, 1], seed=0)
+        np.testing.assert_array_equal(result.centers, [[top], [-top]])
+        assert result.inertia == 0.0
 
 
 class TestLabelPass:
@@ -659,7 +790,7 @@ class TestLabelPass:
         runs = rng.normal(size=(3, 6, c)) + offset
         x_sq = np.einsum("nc,nc->n", x, x)
         labels = np.full((3, x.shape[0]), -1)
-        assert _label_pass(_FreeRows(x, np.arange(150)), runs, labels, np.arange(3)).all()
+        assert _label_pass(_FreeRows(x, np.arange(150), NO_PINS), runs, labels, np.arange(3)).all()
         for centers, run_labels in zip(runs, labels):
             mu_sq = np.einsum("kc,kc->k", centers, centers)
             exact = np.array([[float(sum((Fraction(a) - Fraction(b)) ** 2
@@ -679,7 +810,7 @@ class TestLabelPass:
         x = rng.normal(size=(97, 3))
         runs = rng.normal(size=(4, 5, 3))
         labels = np.full((4, 97), -1)
-        free = _FreeRows(x, np.arange(97))
+        free = _FreeRows(x, np.arange(97), NO_PINS)
         _label_pass(free, runs, labels, np.arange(4))
         before = labels.copy()
         assert not _label_pass(free, runs, labels, np.arange(4)).any()
@@ -750,7 +881,7 @@ class TestLabelPass:
         labels = np.full((runs, n), -2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(KMEANS, "_nearest64", lambda rows, _: np.full(len(rows), -1))
-            _label_pass(_FreeRows(x, np.arange(n)), centers, labels, np.arange(runs))
+            _label_pass(_FreeRows(x, np.arange(n), NO_PINS), centers, labels, np.arange(runs))
         for r in range(runs):
             for i in np.flatnonzero(labels[r] >= 0):
                 exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[i], mu))
@@ -777,7 +908,7 @@ class TestLabelPass:
             return nearest64(rows, centers)
 
         monkeypatch.setattr(KMEANS, "_nearest64", spy)
-        _label_pass(_FreeRows(x, np.arange(3)), runs, labels, np.arange(2))
+        _label_pass(_FreeRows(x, np.arange(3), NO_PINS), runs, labels, np.arange(2))
         assert fallback_rows == [3, 3]
         np.testing.assert_array_equal(labels, 2)
         np.testing.assert_array_equal(labels[0], sequential_labels(x, runs[0], [], []))
@@ -791,7 +922,7 @@ class TestLabelPass:
         x = np.array([[2e19, 0.0], [-2e19, 0.0]])
         runs = np.array([[[8e18, 0.0], [9e18, 1.5e19]]])
         labels = np.full((1, 2), -1)
-        _label_pass(_FreeRows(x, np.arange(2)), runs, labels, np.arange(1))
+        _label_pass(_FreeRows(x, np.arange(2), NO_PINS), runs, labels, np.arange(1))
         np.testing.assert_array_equal(labels, [[0, 0]])
 
     @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])

@@ -20,31 +20,32 @@ count sweep over K = 0..N; its result line has ``perfbench/run.py``'s
 shape with ``wall_s`` alone, plus the workload's output digest.
 
 The script prints one line per pair with both sides' end-to-end metrics,
-failed/attempted counts, the child's minor page faults (``ru_minflt``)
-and any digest.  Then, per metric: each side's median and quartiles, the
-parent's interquartile range, the pairs the change won (ties count for
-neither), and the quartiles and IQR of the per-pair ratio change/parent,
-which leave out the seed-to-seed spread that a pair's two runs share.
+failed/attempted counts and any digest.  Then, per metric: each side's
+median and quartiles, the parent's interquartile range, the pairs the
+change won (ties count for neither), and the quartiles and IQR of the
+per-pair ratio change/parent, which leave out the seed-to-seed spread
+that a pair's two runs share.
 Each metric's direction and ``bound`` come from this tree's
 ``BENCHMARK.json``.  "worse beyond bound" flags a change median worse
 than the parent's by more than bound x the parent median; "unresolved"
-flags a parent IQR above bound x its median, too wide to tell.  Last
-come each side's median minor page faults, which raise no flag.
+flags a parent IQR above bound x its median, too wide to tell.
 ``--json`` writes the same record to PATH, with each side's environment
-line from ``perfbench/run.py`` (none with ``--k-max``) and ``commits``:
-the parent's resolved commit, the change's ``git rev-parse HEAD``, and
-``dirty``, true when ``git status --porcelain`` lists anything.  Nothing
-is imported from or written under either ``perfbench/``.  The script
-exits 1 if PARENT_REV names no commit, if a run prints no result line,
-or, once the times are printed, if two runs of one seed print different
-digests: then the sides do not compute the same thing.
+line from ``perfbench/run.py`` (none with ``--k-max``), each workload's
+``digests_agree``, and ``commits``: the parent's resolved commit, the
+change's ``git rev-parse HEAD``, and ``dirty``, true when ``git status
+--porcelain`` lists anything.  Nothing is imported from or written under
+either ``perfbench/``.  The script exits 1 if PARENT_REV names no commit,
+if a run prints no result line, or, once the times are printed and the
+record written, if two runs of one seed print different digests: then
+the sides do not compute the same thing.  SIGTERM stops the running
+child and removes the export, and the script exits 143.
 """
 
 import argparse
 import io
 import json
 import os
-import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -117,17 +118,14 @@ def _export(commit: str, dest: Path):
 
 def run_once(checkout: Path, workload: str, seed: int, seconds, k_max) -> dict:
     """One run from ``checkout``: its last stdout line, parsed, with the
-    environment line that run printed under ``"environment"`` and the run's
-    minor page faults under ``"minor_faults"``."""
+    environment line that run printed under ``"environment"``."""
     if k_max is None:
         argv = [sys.executable, "perfbench/run.py", "--workload", workload,
                 "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     else:
         argv = [sys.executable, "-c", SWEEP_CHILD, str(k_max), str(seed)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **dict.fromkeys(THREAD_VARIABLES, "1"))
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     parsed = []
     for line in proc.stdout.strip().splitlines():
         try:
@@ -140,7 +138,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds, k_max) -> dict:
                            f"{proc.stderr.strip()}")
     result["environment"] = next((p["environment"] for p in parsed
                                   if isinstance(p, dict) and "environment" in p), None)
-    result["minor_faults"] = faults
     return result
 
 
@@ -180,12 +177,6 @@ def summarize(pairs: list, metrics: dict) -> dict:
     return summary
 
 
-def fault_medians(pairs: list) -> dict:
-    """Each side's median minor page faults over ``pairs``."""
-    return {side: statistics.median(pair[side]["minor_faults"] for pair in pairs)
-            for side in SIDES}
-
-
 def digests_agree(pairs: list) -> bool:
     """Whether all runs of one seed printed the same output digest, or none."""
     digests = {(pair["seed"], pair[side].get("digest")) for pair in pairs for side in SIDES}
@@ -211,14 +202,12 @@ def run_pairs(args, checkouts: dict, workload: str, metrics: dict):
             result = run_once(checkouts[side], workload, seed, args.seconds, args.k_max)
             environment.setdefault(side, result["environment"])
             runs[side] = {name: result["metrics"][name]["value"] for name in metrics}
-            runs[side].update({key: result[key] for key in ("failed", "attempted",
-                                                            "minor_faults", "digest")
+            runs[side].update({key: result[key] for key in ("failed", "attempted", "digest")
                                if key in result})
         pairs.append({"seed": seed, "first": order[0], **{side: runs[side] for side in SIDES}})
         shown = "  ".join(
             f"{side}: " + " ".join(f"{name}={runs[side][name]:.4g}" for name in metrics)
             + f" failed={runs[side]['failed']}/{runs[side]['attempted']}"
-            + f" faults={runs[side]['minor_faults']}"
             + (f" digest={runs[side]['digest'][:16]}" if "digest" in runs[side] else "")
             for side in SIDES)
         print(f"pair {i + 1} seed {seed} first={order[0]}  {shown}", flush=True)
@@ -241,13 +230,24 @@ def run_pairs(args, checkouts: dict, workload: str, metrics: dict):
         failed = sum(pair[side]["failed"] for pair in pairs)
         attempted = sum(pair[side]["attempted"] for pair in pairs)
         print(f"  {side} failed {failed}/{attempted} operations")
-    faults = fault_medians(pairs)
-    print(f"  minor page faults (not an end-to-end metric): parent median "
-          f"{faults['parent']:.0f}, change median {faults['change']:.0f}")
-    return {"pairs": pairs, "metrics": summary, "minor_faults": faults}, environment
+    return {"pairs": pairs, "metrics": summary, "digests_agree": digests_agree(pairs)}, environment
+
+
+def _stop(signum, frame):
+    """Leave by an exception, so that ``subprocess.run`` kills the running
+    child and the export's ``TemporaryDirectory`` is removed."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv) -> int:
+    previous = signal.signal(signal.SIGTERM, _stop)
+    try:
+        return _main(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv) -> int:
     args = _parse(argv)
     metrics = _end_to_end(ROOT)
     if args.k_max is not None:
@@ -269,13 +269,13 @@ def main(argv) -> int:
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-    if not all(digests_agree(record["pairs"]) for record in records.values()):
-        print("error: runs of one seed printed different digests", file=sys.stderr)
-        return 1
     if args.json is not None:
         record = {"commits": commits, "environment": environment, "seconds": args.seconds,
                   "k_max": args.k_max, "seeds": args.seeds, "workloads": records}
         args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if not all(entry["digests_agree"] for entry in records.values()):
+        print("error: runs of one seed printed different digests", file=sys.stderr)
+        return 1
     return 0
 
 
