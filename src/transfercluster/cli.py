@@ -177,6 +177,8 @@ def cmd_cluster(ns, argv):
             raise DataError(f"estimated k_final={report.k_final} (k_hat={report.k_hat}); "
                             "clustering needs at least 2 clusters")
         config = replace(config, k=report.k_final)
+        if ns.bottleneck is None:   # the estimated k sets the bottleneck
+            _check_bottleneck(encoder, config)
     trace = _run_cluster(encoder, data, config)
 
     assignments_path = out / "assignments.csv"

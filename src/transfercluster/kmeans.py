@@ -24,17 +24,28 @@ The centroid sums are exact (below), and the division, empty test and
 shift run elementwise or per row over all restarts at once, so off ties
 every restart ends with the centers, assignment, inertia and iteration
 count it reaches run on its own, at any BLAS thread count.  Non-finite
-data raises :class:`DataError`, and a k-means++ draw whose D^2 total
-overflows, or centroid sums that cannot be formed exactly (below),
-raise :class:`NumericalError`.
+data raises :class:`DataError`, and finite data outside the numeric
+range (below) raises :class:`NumericalError`.
+
+Numeric range.  Let n count every row, anchors included, and R =
+max_i |x_i|^2.  Every center a call forms (an anchor mean, a seeded or
+repair row, a Lloyd mean) lies in the rows' convex hull up to rounding,
+so |x - mu|^2 <= (|x| + |mu|)^2 <= 4 R: every k-means++ D^2, every D^2
+total and the inertia are at most 4 n R.  The call checks once, on
+entry, that 8 n R is below the largest double; the factor 2 leaves room
+for rounding.  Inside that range no float64 step overflows: |x|^2,
+|mu|^2 and |x.mu| are at most R, a score |mu|^2 - 2 x.mu at most 3 R in
+size, the free rows' sum at most n sqrt(R) <= max(n, n R), and every
+centred value at most 2 sqrt(R).  Float32 copies may still overflow;
+the certificate's gate (below) sets them aside.
 
 Exact centroid sums (rounding to a common exponent, as in Demmel &
 Nguyen, ARITH 2013; updates from the rows that moved, as in MacQueen
-1967 and Hartigan & Wong 1979).  Let n count every row, anchors
-included, m be the free rows' float64 mean, and s_j = max_i
-|fl(x_ij - m_j)| over every row.  Column j goes on a grid of step 2^-e_j, where e_j is the largest
-integer with n s_j 2^e_j <= 2^52 (e_j = 0 where s_j = 0).  A row's grid
-value is the integer g = rint(fl(x - m) 2^e_j), scaled by ``np.ldexp``.
+1967 and Hartigan & Wong 1979).  Let m be the free rows' float64 mean
+and s_j = max_i |fl(x_ij - m_j)| over every row.  Column j goes on a
+grid of step 2^-e_j, where e_j is the largest integer with n s_j 2^e_j
+<= 2^52 (e_j = 0 where s_j = 0).  A row's grid value is the integer
+g = rint(fl(x - m) 2^e_j), scaled by ``np.ldexp``.
 
 * Exactness.  |fl(x - m)| 2^e_j <= 2^52 / n, so |g| <= 2^52 / n + 1/2,
   and a sum of at most n grid values, each taken with either sign, lies
@@ -56,24 +67,22 @@ value is the integer g = rint(fl(x - m) 2^e_j), scaled by ``np.ldexp``.
   already rounded by at most 2^-53 |x - m|, as in the label passes.  A
   float64 sum of the same n centred values, in any order, errs by up to
   n 2^-53 / (1 - n 2^-53) times n s_j (Higham, cited below), so its mean
-  by about n s_j 2^-53: the grid's bound is within 2x of the float64
-  product's worst-case rounding, and far below it when the uncentred
-  rows share an offset.  The division, the scaling
-  back and the add of m_j then round once each, as any float64 mean does.
+  by about n s_j 2^-53: within 2x of the grid's bound, but only for a
+  cluster that spans s_j.  A float64 sum over one cluster errs in
+  proportion to that cluster's own rows, while the step follows s_j over
+  every row, so a tight cluster far inside a wide column loses
+  precision: with 500 rows each near -5e-6 and 5e-6 and one row at 1e9,
+  the step is about 2e-4, twenty times the two tight clusters' gap, and
+  k-means cannot tell them apart.  The division, the scaling back and
+  the add of m_j then round once each, as any float64 mean does.
 * Edge columns.  At a zero column (s_j = 0) every row holds m_j, every
   grid value is 0 and the center holds m_j exactly.  At a subnormal
   column e_j reaches up to 1126; scaling a subnormal up by a power of
   two loses no bit, and scaling a center back into the subnormal range
-  rounds once, as any float64 result there does.  Near 1e308, e_j is
-  negative: scaling down is exact wherever its result is normal, and
+  rounds once, as any float64 result there does.  For large values e_j
+  is negative: scaling down is exact wherever its result is normal, and
   where it falls below 2^-1022 the value is below 1/2, so ``rint``
-  gives 0 with or without that rounding.  There the free rows' sum, and
-  so m, or some fl(x - m) can overflow; then no grid exists, and the
-  call raises :class:`NumericalError` (exit 3).  Otherwise the sums are
-  exact, so every finite input gives exact sums or that error.  A center
-  can still round past the largest double, by at most the bounds above;
-  each exact mean lies within the rows' range, so the center is clamped
-  to the largest double, which is nearer the mean.
+  gives 0 with or without that rounding.
 
 ``tests/test_kmeans.py`` checks the exponent choice, the exactness bound
 and the quantization bound in exact rational arithmetic, as it does for
@@ -140,6 +149,7 @@ not exact, that is at a float64 rounding tie: the contract above.
 """
 
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +162,6 @@ N_INIT = 10      # k-means++ restarts per call
 MAX_ITER = 300   # Lloyd iterations per restart
 TOL = 1e-6       # largest center shift that counts as converged
 _U32 = 2.0**-24  # float32 unit roundoff
-_LARGEST = np.finfo(np.float64).max
 _GATE = 2.0**100  # |x - mean|^2 or a restart's largest |mu - mean|^2 at or above: no certificate
 # float32 scores in one label block (1 MiB, half a 2 MiB L2), so the
 # passes after the product read it from cache.  One thread of a 2-core
@@ -195,47 +204,43 @@ def _plusplus_init(x, x_sq, n_new, rngs, existing):
     D^2 array at once, elementwise or per row, as :func:`distances.expanded`
     orders it.  Raises once every row sits on a chosen or existing center,
     since a further seed would duplicate a center and leave a cluster
-    empty, and raises :class:`NumericalError` if a D^2 total overflows.
+    empty.
     """
     n, n_runs = x.shape[0], len(rngs)
     chosen = np.empty((n_runs, n_new), dtype=np.int64)
     if not n_new:
         return chosen
-    # An overflowing D^2 raises NumericalError below, not a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(existing):
-            d2 = np.tile(distances.expanded(x, existing, x_sq).min(axis=1), (n_runs, 1))
+    if len(existing):
+        d2 = np.tile(distances.expanded(x, existing, x_sq).min(axis=1), (n_runs, 1))
+    else:
+        d2 = np.full((n_runs, n), np.inf)
+    new = np.empty((n_runs, n))    # the draw's distances, first its probabilities
+    work = np.empty((n_runs, n))   # the draw's cdf, then its products
+    for j in range(n_new):
+        if j == 0 and not len(existing):
+            chosen[:, 0] = [rng.integers(n) for rng in rngs]
         else:
-            d2 = np.full((n_runs, n), np.inf)
-        new = np.empty((n_runs, n))    # the draw's distances, first its probabilities
-        work = np.empty((n_runs, n))   # the draw's cdf, then its products
-        for j in range(n_new):
-            if j == 0 and not len(existing):
-                chosen[:, 0] = [rng.integers(n) for rng in rngs]
-            else:
-                totals = d2.sum(axis=1)
-                if not np.isfinite(totals).all():
-                    raise NumericalError("k-means++ distances overflow; rescale the data")
-                if (totals == 0).any():
-                    raise ParameterError(
-                        f"{n_new} free clusters but only {j} distinct free positions "
-                        "off the anchor centers"
-                    )
-                np.divide(d2, totals[:, None], out=new)
-                np.cumsum(new, axis=1, out=work)
-                work /= work[:, -1:].copy()
-                chosen[:, j] = [cdf.searchsorted(rng.random(), side="right")
-                                for cdf, rng in zip(work, rngs)]
-            if j + 1 == n_new:
-                break
-            centers = x[chosen[:, j]]
-            for center, products in zip(centers, work):
-                np.matmul(x, center, out=products)
-            work *= 2.0
-            np.add.outer(np.einsum("rc,rc->r", centers, centers), x_sq, out=new)
-            new -= work
-            np.maximum(new, 0.0, out=new)
-            np.minimum(d2, new, out=d2)
+            totals = d2.sum(axis=1)
+            if (totals == 0).any():
+                raise ParameterError(
+                    f"{n_new} free clusters but only {j} distinct free positions "
+                    "off the anchor centers"
+                )
+            np.divide(d2, totals[:, None], out=new)
+            np.cumsum(new, axis=1, out=work)
+            work /= work[:, -1:].copy()
+            chosen[:, j] = [cdf.searchsorted(rng.random(), side="right")
+                            for cdf, rng in zip(work, rngs)]
+        if j + 1 == n_new:
+            break
+        centers = x[chosen[:, j]]
+        for center, products in zip(centers, work):
+            np.matmul(x, center, out=products)
+        work *= 2.0
+        np.add.outer(np.einsum("rc,rc->r", centers, centers), x_sq, out=new)
+        new -= work
+        np.maximum(new, 0.0, out=new)
+        np.minimum(d2, new, out=d2)
     return chosen
 
 
@@ -264,8 +269,7 @@ class _FreeRows:
     ``grid`` (n, c) holds the free rows on the centroid grid of exponents
     ``exps``: the integers rint(fl(x - mean) 2**exps), as float64.  The
     exponents also cover the ``anchor_rows``, which :meth:`to_grid` puts
-    on the same grid.  Raises :class:`NumericalError` where the mean or a
-    centred value overflows.
+    on the same grid.
     """
 
     def __init__(self, x, idx, anchor_rows):
@@ -275,21 +279,20 @@ class _FreeRows:
         ratio = (c + 8) * _U32
         self.coef = 2 * ratio / (1 - ratio) if c < 2**20 else np.nan
         self.floor = (c + 1) * 2.0**-146
-        # An overflowing mean or centred value raises NumericalError below, not
-        # a numpy warning; a row whose float32 copy overflows is past the gate.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.zeros(c)
-            for block in distances.row_blocks(n, c):
-                total += x[idx[block]].sum(axis=0)
-            self.mean = total / max(n, 1)
-            self.rows = np.empty((c, n), dtype=np.float32)
-            self.grid = np.empty((n, c))
-            anchors = x[anchor_rows]
-            anchors -= self.mean
-            # max |fl(x - mean)| per column, from column extremes: no (rows, c) temporary
-            top, bottom = anchors.max(axis=0, initial=0.0), anchors.min(axis=0, initial=0.0)
-            del anchors
-            sq = np.empty(n)
+        total = np.zeros(c)
+        for block in distances.row_blocks(n, c):
+            total += x[idx[block]].sum(axis=0)
+        self.mean = total / max(n, 1)
+        self.rows = np.empty((c, n), dtype=np.float32)
+        self.grid = np.empty((n, c))
+        anchors = x[anchor_rows]
+        anchors -= self.mean
+        # max |fl(x - mean)| per column, from column extremes: no (rows, c) temporary
+        top, bottom = anchors.max(axis=0, initial=0.0), anchors.min(axis=0, initial=0.0)
+        del anchors
+        sq = np.empty(n)
+        # A row whose float32 copy overflows is past the gate.
+        with np.errstate(over="ignore"):
             for block in distances.row_blocks(n, c):
                 part = self.grid[block]
                 np.take(x, idx[block], axis=0, out=part, mode="clip")   # "raise" buffers out
@@ -303,10 +306,7 @@ class _FreeRows:
         sq[~(sq < _GATE)] = np.nan
         sq *= self.coef
         self.margin = sq.astype(np.float32)
-        spread = np.maximum(top, -bottom)
-        if not np.isfinite(spread).all():
-            raise NumericalError("k-means centroid sums overflow; rescale the data")
-        self.exps = _grid_exponents(spread, x.shape[0])
+        self.exps = _grid_exponents(np.maximum(top, -bottom), x.shape[0])
         self.to_grid(self.grid)
 
     def to_grid(self, centred):
@@ -453,12 +453,8 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
         summed[update] = labels
         new_centers = sums[update]
         new_centers /= np.maximum(counts, 1)[:, :, None]
-        # Each exact mean lies within the rows' range, so a center that
-        # rounds past the largest double is that double (module docstring).
-        with np.errstate(over="ignore"):
-            np.ldexp(new_centers, -free.exps, out=new_centers)
-            new_centers += free.mean
-        np.clip(new_centers, -_LARGEST, _LARGEST, out=new_centers)
+        np.ldexp(new_centers, -free.exps, out=new_centers)
+        new_centers += free.mean
         # Empty clusters, in index order, reseed at the free points farthest
         # from their centers, first row first on ties; only free clusters empty.
         empty = counts == 0
@@ -540,9 +536,12 @@ def constrained_kmeans(data, k: int, pinned, seed: int = 0) -> KmeansResult:
             f"{n_free_clusters} free clusters but only {free_x.shape[0]} free rows"
         )
     x_sq = np.einsum("nc,nc->n", x, x)
-    # |x|^2 is finite unless a value is non-finite or the square overflows.
-    if not np.isfinite(x_sq).all() and not np.isfinite(x).all():
-        raise DataError("data must be finite")
+    # The numeric range (module docstring), in Python floats: they reach inf
+    # without a warning.  |x|^2 is not finite only for non-finite or huge values.
+    if not 8.0 * n * float(x_sq.max()) < sys.float_info.max:
+        if not np.isfinite(x).all():
+            raise DataError("data must be finite")
+        raise NumericalError("k-means distances overflow; rescale the data")
     free_sq = x_sq[free_idx]
 
     starts = np.empty((N_INIT, k, x.shape[1]))

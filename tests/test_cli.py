@@ -162,6 +162,26 @@ class TestCluster:
         assert (out / "auto_k_sweep.csv").exists()
         assert not (out / "assignments.csv").exists()
 
+    def test_estimated_k_wider_than_the_trunk_is_refused(self, tmp_path, capsys):
+        """With no --bottleneck the estimated k sets the bottleneck, which a
+        3-unit trunk cannot hold: the error names the trunk width, as for --k."""
+        data, enc, out = tmp_path / "data", tmp_path / "enc", tmp_path / "run"
+        assert run("synth", "--labeled-classes", 6, "--unlabeled-classes", 8,
+                   "--per-class", 30, "--dim", 8, "--sep", 7, "--seed", 1,
+                   "--out-dir", data) == 0
+        assert run("pretrain", "--labeled", data / "labeled.csv", "--hidden", 3,
+                   "--epochs", 3, "--seed", 1, "--out-dir", enc) == 0
+        capsys.readouterr()
+        code = run("cluster", "--encoder", enc / "encoder.dtce",
+                   "--data", data / "unlabeled.csv", "--auto-k",
+                   "--probe", data / "labeled.csv", "--k-max", 10, "--tau", 0.001,
+                   "--warmup", 0, "--epochs", 1, "--seed", 1, "--out-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bottleneck dimension 4 exceeds the encoder's trunk width 3\n")
+        assert (out / "auto_k_sweep.csv").exists()
+        assert not (out / "assignments.csv").exists()
+
     def test_auto_k_checks_training_settings_before_the_estimate(
             self, synth_dir, encoder_path, tmp_path, capsys, monkeypatch):
         """A bad training setting exits 1 before the count sweep runs."""
@@ -548,7 +568,7 @@ class TestErrorPaths:
                 "--out-dir", str(tmp_path / "out")]
         assert run(*argv) == 3
         assert capsys.readouterr().err == (
-            "error: k-means++ distances overflow; rescale the data\n")
+            "error: k-means distances overflow; rescale the data\n")
         manifest = tmp_path / "estimate-k.manifest"
         write_manifest(manifest, "estimate-k", argv, {}, {"encoder": huge}, {},
                        transfercluster.__version__)

@@ -1,7 +1,9 @@
 """Tests for seeded k-means and the anchored variant."""
 
+import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from transfercluster.seeding import rng_for
 
 KMEANS = sys.modules["transfercluster.kmeans"]   # the package exports a kmeans function
 NO_PINS = np.array([], dtype=np.int64)
+MAX = np.finfo(float).max
 from transfercluster.metrics import clustering_accuracy
 
 
@@ -241,6 +244,48 @@ class TestKmeans:
         with pytest.raises(NumericalError, match="overflow"), \
                 np.errstate(over="ignore", invalid="ignore"):
             constrained_kmeans(x, 3, pinned, seed=0)
+
+    @pytest.mark.parametrize("rows,k,pinned", [
+        ([[MAX], [1.0], [0.0]], 2, [0, 1, -1]),
+        ([[MAX], [-MAX], [0.0]], 2, [0, 1, -1]),
+        ([[MAX], [0.0]], 1, [-1, -1]),
+        ([[MAX], [-MAX]], 2, [0, 1]),
+        (np.random.default_rng(1).normal(size=(12, 3)) * 1e160, 3, [-1] * 12),
+    ], ids=["free-row-near-anchors", "free-row-between-anchors", "k-1", "all-pinned",
+            "free-clusters-at-1e160"])
+    def test_rows_past_the_range_raise(self, rows, k, pinned):
+        """Finite rows with 8 n max|x|^2 at or past the largest double
+        raise one error, with no numpy warning.  Before the range check the
+        first put the free row 0.0 in the cluster at MAX, and the first two
+        returned an infinite inertia, each after numpy warnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=r"^k-means distances overflow; rescale the data$"):
+                constrained_kmeans(np.array(rows), k, pinned, seed=0)
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["no-pins", "anchors"])
+    def test_rows_just_inside_the_range_scale_exactly(self, anchored):
+        """At the largest power-of-two scale that passes the range check,
+        every step is the unscaled run's times a power of two, with no
+        overflow: the same assignment, centers times 2^e and inertia times
+        4^e.  At twice that scale the call raises."""
+        x = np.random.default_rng(0).normal(size=(180, 4))
+        pinned = np.full(180, -1)
+        if anchored:
+            pinned[:20], pinned[20:40] = 0, 1
+        top = 8 * 180 * float(np.einsum("nc,nc->n", x, x).max())
+        e = (1024 - math.frexp(top)[1]) // 2   # top 4^e in [2^1022, 2^1024)
+        plain = constrained_kmeans(x, 5, pinned, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = constrained_kmeans(np.ldexp(x, e), 5, pinned, seed=3)
+            with pytest.raises(NumericalError, match="k-means distances overflow"):
+                constrained_kmeans(np.ldexp(x, e + 1), 5, pinned, seed=3)
+        np.testing.assert_array_equal(scaled.assignment, plain.assignment)
+        np.testing.assert_array_equal(scaled.centers, np.ldexp(plain.centers, e))
+        assert scaled.inertia == plain.inertia * 4.0**e
+        assert scaled.iterations == plain.iterations
 
     def test_every_cluster_used_when_k_near_n(self):
         """Empty-cluster repair keeps all k clusters populated."""
@@ -760,17 +805,10 @@ class TestGridSums:
     def test_rows_without_a_grid_raise(self, rows):
         """With k = 1 no seeding draw runs first; before the grid, the
         first returned an infinite center and the second an infinite
-        inertia, each after numpy warnings."""
-        with pytest.raises(NumericalError, match="centroid sums overflow"):
+        inertia, each after numpy warnings.  The range check on entry
+        refuses both."""
+        with pytest.raises(NumericalError, match="k-means distances overflow"):
             kmeans(np.array(rows), 1, seed=0)
-
-    def test_center_rounding_past_the_largest_double_is_clamped(self):
-        """Anchors at +-max: the grid rounds each up to 2^1024, past the
-        largest double, and the clamp gives each its own value back."""
-        top = np.finfo(float).max
-        result = constrained_kmeans(np.array([[top], [-top]]), 2, [0, 1], seed=0)
-        np.testing.assert_array_equal(result.centers, [[top], [-top]])
-        assert result.inertia == 0.0
 
 
 class TestLabelPass:
