@@ -120,9 +120,18 @@ def cmd_pretrain(ns, argv):
     print(f"wrote {encoder_path}")
 
 
+def _check_width(path, features, encoder):
+    """Refuse a feature file whose rows are not as wide as the encoder's input."""
+    if features.dim != encoder.input_dim:
+        raise DataError(f"{path}: rows have {features.dim} features, but the encoder "
+                        f"takes {encoder.input_dim}")
+    return features
+
+
 def _estimate(ns, encoder, data, threads):
     """Count estimate for ``data`` with the probe file and split flags in ``ns``."""
     probe = load_labeled(ns.probe, ns.format)
+    _check_width(ns.probe, probe.features, encoder)
     split = split_probes(probe, ns.n_probe, ns.anchor_ratio, ns.seed)
     embedded_probe = LabeledSet(forward(encoder, probe.features), probe.labels)
     return estimate_class_count(
@@ -162,7 +171,7 @@ def cmd_cluster(ns, argv):
     encoder = load_encoder(ns.encoder)
     if not ns.auto_k or ns.bottleneck is not None:   # --auto-k alone sets k later
         _check_bottleneck(encoder, config)
-    data = load_features(ns.data, ns.format)
+    data = _check_width(ns.data, load_features(ns.data, ns.format), encoder)
     out = _out_dir(ns)
     inputs = {"encoder": ns.encoder, "data": ns.data}
     outputs = {}
@@ -212,7 +221,8 @@ def _read_truth(path, ids):
 def cmd_estimate_k(ns, argv):
     threads = default_threads()
     encoder = load_encoder(ns.encoder)
-    report = _estimate(ns, encoder, load_features(ns.data, ns.format), threads)
+    data = _check_width(ns.data, load_features(ns.data, ns.format), encoder)
+    report = _estimate(ns, encoder, data, threads)
     out = _out_dir(ns)
     sweep_path = out / "sweep.csv"
     sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
@@ -277,7 +287,7 @@ def cmd_sweep(ns, argv):
     encoder = load_encoder(ns.encoder)
     for config in configs:
         _check_bottleneck(encoder, config)
-    data = load_features(ns.data, ns.format)
+    data = _check_width(ns.data, load_features(ns.data, ns.format), encoder)
     truth = _read_truth(ns.truth, data.ids)
 
     def run_point(config):

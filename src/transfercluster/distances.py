@@ -4,13 +4,9 @@
 ``|a|^2 + |b|^2 - 2 a.b``.  The Student's-t kernel, its gradients, the
 trainer's reseed and the silhouette means all use it.  k-means calls it
 only for the anchor centers in the k-means++ D^2 pool and for the
-empty-cluster repair; its seeding draws repeat its steps for all
-restarts at once, and its label passes score rows centred on their mean
-in float32, without the row's own |a|^2, and certify each winner against
-an error bound derived in :mod:`kmeans`, falling back to float64
-|mu|^2 - 2 a.mu where they cannot.  The silhouette
-works in the row blocks that :func:`row_blocks` yields, so it never
-holds the whole (N, N) matrix.
+empty-cluster repair; :mod:`kmeans` describes its own seeding and label
+passes.  The silhouette works in the row blocks that :func:`row_blocks`
+yields, so it never holds the whole (N, N) matrix.
 
 Error of :func:`expanded`, for one pair z, mu of c coordinates.  Let
 P = |z|^2 + |mu|^2, S = |z - mu|^2 (exact), u = eps / 2 the unit

@@ -323,12 +323,12 @@ def _nearest64(x, centers):
     return scores.argmin(axis=1)
 
 
-def _label_pass(free, centers, labels, active):
-    """Relabel the :class:`_FreeRows` ``free`` for the ``active``
-    restarts; return which ones moved.
+def _label_pass(free, centers, active):
+    """The labels of the :class:`_FreeRows` ``free`` for the ``active``
+    restarts: an (A, n) int64 array, row a for restart ``active[a]``.
 
-    ``centers`` is (R, k, d), one set per restart, and ``labels`` the
-    (R, n) label matrix, overwritten in the active rows.  Each block of
+    ``centers`` is (R, k, d), one set per restart; only the active
+    restarts' sets are read, and no argument is written.  Each block of
     rows takes one float32 product against the active restarts' centred
     centers stacked, giving (A, k, rows) scores, so each restart's minimum
     runs along contiguous rows.  An integer ``einsum`` of the scores at or
@@ -378,9 +378,8 @@ def _label_pass(free, centers, labels, active):
     for a in np.flatnonzero(doubt.any(axis=1)):
         cols = np.flatnonzero(doubt[a])
         sums[a, cols] = _nearest64(free.x[free.idx[cols]], centers[active[a]])
-    moved = (labels[active] != sums).any(axis=1)
-    labels[active] = sums
-    return moved
+    # past k of about 2**21 the packing is an object array, which bincount refuses
+    return sums.astype(np.int64, copy=False)
 
 
 def _add_moves(sums, grid, rows, old, new):
@@ -407,15 +406,18 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
     restart's :class:`KmeansResult` in order.
 
     ``starts`` is a float (R, k, d) array of start centers, overwritten
-    with the moving centers.  Each iteration labels the free rows of the
-    running restarts in one :func:`_label_pass`, then updates every
-    restart that needs it at once: one ``bincount`` for the counts, each
-    restart's exact grid sums brought up to its labels by
-    :func:`_add_moves` from the rows whose label changed since its last
-    update (every row at its first), then one division, one scaling, one
-    empty test and one shift for all U of them.  Unmoved labels after a
-    repair-free update mean shift 0, so that restart stops without a
-    centroid pass; those that stop with a nonzero shift get one more label
+    with the moving centers.  ``free_labels`` holds each restart's labels
+    of the free rows as its grid sums hold them (-1 before its first
+    update).  Each iteration labels the free rows of the running restarts
+    in one :func:`_label_pass`, then updates all of them at once: one
+    ``bincount`` for the counts, each restart's exact grid sums brought up
+    to its new labels by :func:`_add_moves` from the rows whose label
+    differs from ``free_labels`` (every row at the first update), then one
+    division, one scaling, one empty test and one shift.  A restart with
+    no moved row gets back the sums and counts of its last update: unless
+    that update repaired an empty cluster, which is empty and repaired
+    again, that gives the same centers, shift 0, and it stops without a
+    further pass.  One that stops with a nonzero shift gets one more label
     pass, so each assignment matches its centers.  The label passes and
     the sums read the free rows from one :class:`_FreeRows`, built here in
     place of a float64 gather of them.  ``x_sq`` (|x|^2 per row) is read
@@ -426,9 +428,6 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
     n_runs, k, d = centers.shape
     free = _FreeRows(x, free_idx, anchor_rows)
     free_labels = np.full((n_runs, free_idx.size), -1)
-    # The labels each restart's sums hold (-1: none yet), in the least
-    # integer type that holds -1..k-1, so that they add little to the peak.
-    summed = np.full(free_labels.shape, -1, dtype=np.min_scalar_type(-k))
     anchor_counts = np.bincount(anchor_cluster, minlength=k)
     anchor_sums = np.zeros((k, d))
     every = np.arange(anchor_rows.size)
@@ -436,47 +435,44 @@ def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):
                np.full(every.size, -1), anchor_cluster)
     sums = np.repeat(anchor_sums[None], n_runs, axis=0)
     iterations = np.zeros(n_runs, dtype=int)
-    repair_free = np.zeros(n_runs, dtype=bool)
     running = np.arange(n_runs)
     relabel = []   # restarts that stopped with a nonzero shift
     while running.size:
-        moved = _label_pass(free, centers, free_labels, running)
+        labels = _label_pass(free, centers, running)
         iterations[running] += 1
-        update = running[moved | ~repair_free[running]]
-        labels = free_labels[update]
-        counts = np.bincount((labels + k * np.arange(update.size)[:, None]).ravel(),
-                             minlength=update.size * k).reshape(update.size, k)
+        counts = np.bincount((labels + k * np.arange(running.size)[:, None]).ravel(),
+                             minlength=running.size * k).reshape(running.size, k)
         counts += anchor_counts
-        for u, r in enumerate(update):
-            rows = np.flatnonzero(labels[u] != summed[r])
-            _add_moves(sums[r], free.grid, rows, summed[r, rows], labels[u, rows])
-        summed[update] = labels
-        new_centers = sums[update]
+        for a, r in enumerate(running):
+            rows = np.flatnonzero(labels[a] != free_labels[r])
+            _add_moves(sums[r], free.grid, rows, free_labels[r, rows], labels[a, rows])
+        free_labels[running] = labels
+        new_centers = sums[running]
         new_centers /= np.maximum(counts, 1)[:, :, None]
         np.ldexp(new_centers, -free.exps, out=new_centers)
         new_centers += free.mean
         # Empty clusters, in index order, reseed at the free points farthest
         # from their centers, first row first on ties; only free clusters empty.
         empty = counts == 0
-        repair_free[update] = ~empty.any(axis=1)
-        for u in np.flatnonzero(~repair_free[update]):
-            d2 = distances.expanded(x, centers[update[u]], x_sq)[free_idx, labels[u]]
-            holes = np.flatnonzero(empty[u])
-            new_centers[u, holes] = x[free_idx[np.argsort(-d2, kind="stable")[:holes.size]]]
-        diff = centers[update]
+        for a in np.flatnonzero(empty.any(axis=1)):
+            d2 = distances.expanded(x, centers[running[a]], x_sq)[free_idx, labels[a]]
+            holes = np.flatnonzero(empty[a])
+            new_centers[a, holes] = x[free_idx[np.argsort(-d2, kind="stable")[:holes.size]]]
+        diff = centers[running]
         np.subtract(new_centers, diff, out=diff)
         diff *= diff
         shift = np.sqrt(diff.sum(axis=2)).max(axis=1)
-        centers[update] = new_centers
-        going = (shift >= TOL) & (iterations[update] < MAX_ITER)
-        relabel.extend(update[~going & (shift != 0.0)])
-        running = update[going]
+        centers[running] = new_centers
+        going = (shift >= TOL) & (iterations[running] < MAX_ITER)
+        relabel.extend(running[~going & (shift != 0.0)])
+        running = running[going]
         del labels, new_centers, diff   # the next label pass runs without them
     # Final assignments consistent with the returned centers.  Centers that
     # did not move give the last iteration's labels again.
     if relabel:
-        _label_pass(free, centers, free_labels, np.array(relabel))
-    del free, summed, sums
+        relabel = np.array(relabel)
+        free_labels[relabel] = _label_pass(free, centers, relabel)
+    del free, sums
     for r in range(n_runs):
         labels = np.empty(x.shape[0], dtype=np.int64)
         labels[anchor_rows] = anchor_cluster

@@ -553,6 +553,33 @@ class TestErrorPaths:
             "error: bottleneck dimension 99 exceeds the encoder's trunk width 16\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, narrow", [
+        (("cluster", "--k", 2, "--warmup", 0, "--epochs", 0), "--data"),
+        (("cluster", "--auto-k", "--k-max", 4, "--warmup", 0, "--epochs", 0), "--data"),
+        (("cluster", "--auto-k", "--k-max", 4, "--warmup", 0, "--epochs", 0), "--probe"),
+        (("estimate-k", "--k-max", 4), "--data"),
+        (("estimate-k", "--k-max", 4), "--probe"),
+        (("sweep", "--sweep", "k", "--values", 2, "--warmup", 0, "--epochs", 0), "--data"),
+    ], ids=["cluster", "auto-k-data", "auto-k-probe", "estimate-k-data", "estimate-k-probe",
+            "sweep"])
+    def test_file_narrower_than_the_encoder_input_is_data_error(
+            self, synth_dir, encoder_path, tmp_path, capsys, command, narrow):
+        """The encoder takes 8 features; one file has rows of 5."""
+        other = tmp_path / "narrow"
+        assert run("synth", "--labeled-classes", 3, "--unlabeled-classes", 3,
+                   "--per-class", 10, "--dim", 5, "--sep", 7, "--out-dir", other) == 0
+        files = {"--data": synth_dir / "unlabeled.csv"}
+        if "--k-max" in command:
+            files["--probe"] = synth_dir / "labeled.csv"
+        if command[0] == "sweep":
+            files["--truth"] = synth_dir / "unlabeled_truth.csv"
+        bad = files[narrow] = other / ("unlabeled.csv" if narrow == "--data" else "labeled.csv")
+        argv = [token for pair in files.items() for token in pair]
+        capsys.readouterr()
+        assert run(*command, *argv, "--encoder", encoder_path, "--out-dir", tmp_path / "x") == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: rows have 5 features, but the encoder takes 8\n")
+
     def test_numerical_failure_exits_3_also_on_rerun(self, synth_dir, encoder_path, tmp_path,
                                                      capsys):
         """A bottleneck of 1e300 * I leaves every embedding finite but its
