@@ -41,14 +41,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_rows(path, header, rows):
-    """Write ``header`` and one comma-joined line per row.
+def _write_rows(path, header, rows, sep=","):
+    """Write ``header`` (None: no header line) and one ``sep``-joined line
+    per row; return the text written.
 
     Values are written with ``str``, which for a Python float is its
     shortest round-trip ``repr``.
     """
-    lines = [header] + [",".join(map(str, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [] if header is None else [header]
+    lines += [sep.join(map(str, row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def _read_id_value_file(path, column):
@@ -189,6 +193,8 @@ def cmd_cluster(ns, argv):
         if ns.bottleneck is None:   # the estimated k sets the bottleneck
             _check_bottleneck(encoder, config)
     trace = _run_cluster(encoder, data, config)
+    for line in trace.warnings:
+        print(f"warning: {line}", file=sys.stderr)
 
     assignments_path = out / "assignments.csv"
     _write_rows(assignments_path, "id,cluster", zip(data.ids, trace.assignments.tolist()))
@@ -228,15 +234,11 @@ def cmd_estimate_k(ns, argv):
     sweep_path.write_text(sweep_report_to_csv(report), encoding="utf-8")
     report_path = out / "estimate_report.txt"
     dropped = ";".join(f"{c}:{m}" for c, m in report.dropped_clusters)
-    report_path.write_text(
-        f"k_star_acc={report.k_star_acc}\n"
-        f"k_star_cvi={report.k_star_cvi}\n"
-        f"k_hat={report.k_hat}\n"
-        f"k_final={report.k_final}\n"
-        f"n_non_anchor={report.n_non_anchor}\n"
-        f"dropped={dropped}\n",
-        encoding="utf-8",
-    )
+    _write_rows(report_path, None, [
+        ("k_star_acc", report.k_star_acc), ("k_star_cvi", report.k_star_cvi),
+        ("k_hat", report.k_hat), ("k_final", report.k_final),
+        ("n_non_anchor", report.n_non_anchor), ("dropped", dropped),
+    ], sep="=")
     _manifest(ns, argv, "estimate-k",
               {"encoder": ns.encoder, "probe": ns.probe, "data": ns.data},
               {"sweep": sweep_path, "report": report_path})
@@ -254,12 +256,10 @@ def cmd_eval(ns, argv):
     pairs = [("acc", report.acc), ("nmi", report.nmi), ("count_error", k_err),
              ("n_points", report.n_points)]
     if ns.format == "csv":
-        lines, sep, report_path = ["metric,value"], ",", out / "eval_report.csv"
+        header, sep, report_path = "metric,value", ",", out / "eval_report.csv"
     else:
-        lines, sep, report_path = [], "=", out / "eval_report.txt"
-    lines += [f"{metric}{sep}{value}" for metric, value in pairs]
-    text = "\n".join(lines) + "\n"
-    report_path.write_text(text, encoding="utf-8")
+        header, sep, report_path = None, "=", out / "eval_report.txt"
+    text = _write_rows(report_path, header, pairs, sep)
     _manifest(ns, argv, "eval",
               {"assignments": ns.assignments, "truth": ns.truth},
               {"report": report_path})
@@ -291,11 +291,15 @@ def cmd_sweep(ns, argv):
     truth = _read_truth(ns.truth, data.ids)
 
     def run_point(config):
-        report = evaluate_clustering(truth, _run_cluster(encoder, data, config).assignments)
-        return report.acc, report.nmi
+        trace = _run_cluster(encoder, data, config)
+        report = evaluate_clustering(truth, trace.assignments)
+        return report.acc, report.nmi, trace.warnings
 
     scores = parallel_map(run_point, configs, threads)
-    rows = [(value, acc, nmi) for value, (acc, nmi) in zip(values, scores)]
+    for value, (_, _, warnings) in zip(values, scores):
+        for line in warnings:
+            print(f"warning: {ns.sweep}={value}: {line}", file=sys.stderr)
+    rows = [(value, acc, nmi) for value, (acc, nmi, _) in zip(values, scores)]
     out = _out_dir(ns)
     table_path = out / "sweep_results.csv"
     _write_rows(table_path, "value,acc,nmi", rows)

@@ -23,7 +23,6 @@ probe score defers to the unlabelled-data evidence instead of dragging
 the average toward zero.
 """
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -155,7 +154,7 @@ def estimate_class_count(probe: LabeledSet, unlabeled, split: ProbeSplit,
     best_acc = accs.max()
     tied = np.nonzero(accs == best_acc)[0]
     k_star_acc = int(tied[np.argmin(np.abs(tied - k_star_cvi))])
-    k_hat = int(math.floor((k_star_acc + k_star_cvi) / 2.0 + 0.5))
+    k_hat = (k_star_acc + k_star_cvi + 1) // 2
 
     _, final = outcomes[k_hat]
     n_anchor_clusters = len(anchor_classes)

@@ -208,8 +208,6 @@ def _plusplus_init(x, x_sq, n_new, rngs, existing):
     """
     n, n_runs = x.shape[0], len(rngs)
     chosen = np.empty((n_runs, n_new), dtype=np.int64)
-    if not n_new:
-        return chosen
     if len(existing):
         d2 = np.tile(distances.expanded(x, existing, x_sq).min(axis=1), (n_runs, 1))
     else:
@@ -332,14 +330,15 @@ def _label_pass(free, centers, active):
     rows takes one float32 product against the active restarts' centred
     centers stacked, giving (A, k, rows) scores, so each restart's minimum
     runs along contiguous rows.  An integer ``einsum`` of the scores at or
-    below the threshold against weights ``2**shift + i`` packs, per
-    (restart, row) pair, how many there are (above ``shift``) and the sum
-    of their indices (below it).  A count of one certifies the pair, and
-    its index sum is the label (see the module docstring); the other
-    pairs go to :func:`_nearest64` once every block is done.  Rows go in
-    blocks of 2 n // A for A active restarts, so a block of scores holds
-    at most as many bytes as n * k float64 values, and at most
-    :data:`_SCORE_BLOCK` scores.
+    below the threshold against weights ``2**shift + i``, with ``2**shift``
+    above every index i, packs each (restart, row) pair's hits: one hit i
+    reads ``2**shift + i``, below ``2**(shift + 1)``, and two or more read
+    at least ``2**(shift + 1)``.  So ``sums >> shift == 1`` certifies
+    exactly the one-hit pairs, and their low bits are the label (see the
+    module docstring); the other pairs go to :func:`_nearest64` once
+    every block is done.  Rows go in blocks of 2 n // A for A active
+    restarts, so a block of scores holds at most as many bytes as n * k
+    float64 values, and at most :data:`_SCORE_BLOCK` scores.
     """
     k, d = centers.shape[1:]
     centred = centers[active] - free.mean
@@ -356,12 +355,12 @@ def _label_pass(free, centers, active):
     centred *= -2.0
     scaled = centred.astype(np.float32).reshape(-1, d)
     mu_sq = mu_sq.astype(np.float32)[:, :, None]
-    # 2**shift exceeds any sum of distinct indices, and (k + 1) << shift
-    # any weighted count, so the dtype holds every k.
-    shift = (k * (k - 1) // 2).bit_length()
-    top = (k + 1) << shift
-    dtype = np.int32 if top <= 2**31 else np.int64 if top <= 2**63 else object
-    weights = (1 << shift) + np.arange(k).astype(dtype)
+    # At most k <= 2**shift hits sum below 2**(2 shift + 1): int32 holds
+    # every sum to k = 2**15 and int64 to k = 2**31.  A larger k needs over
+    # 2**31 rows and a first-pass (N_INIT, k) float32 score block over 80 GB.
+    shift = (k - 1).bit_length()
+    dtype = np.int32 if shift < 16 else np.int64
+    weights = np.arange(1 << shift, (1 << shift) + k, dtype=dtype)
     n = free.idx.size
     reach = free.margin + restart_margin   # the threshold's margin, (A, n)
     sums = np.empty((active.size, n), dtype=dtype)
@@ -378,7 +377,6 @@ def _label_pass(free, centers, active):
     for a in np.flatnonzero(doubt.any(axis=1)):
         cols = np.flatnonzero(doubt[a])
         sums[a, cols] = _nearest64(free.x[free.idx[cols]], centers[active[a]])
-    # past k of about 2**21 the packing is an object array, which bincount refuses
     return sums.astype(np.int64, copy=False)
 
 
@@ -392,13 +390,12 @@ def _add_moves(sums, grid, rows, old, new):
     docstring), so neither the blocks nor the product's order change a bit.
     """
     k, d = sums.shape
-    whole = rows.size == grid.shape[0]   # every row: read the grid in place
     for block in distances.row_blocks(rows.size, k + d):
         delta = np.zeros((len(new[block]), k + 1))
         at = np.arange(len(delta))
         delta[at, new[block]] = 1.0
         delta[at, old[block]] = -1.0
-        sums += delta[:, :k].T @ (grid[block] if whole else grid[rows[block]])
+        sums += delta[:, :k].T @ grid[rows[block]]
 
 
 def _lloyd(x, x_sq, starts, anchor_rows, anchor_cluster, free_idx):

@@ -342,6 +342,61 @@ class TestEval:
                    "--out-dir", tmp_path / "e") == 2
 
 
+class TestReseedWarnings:
+    """Training's reseed messages go to stderr; stdout and every file in
+    the output directory are those of the same run without them."""
+
+    @staticmethod
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @staticmethod
+    def reseeding_train(monkeypatch):
+        """Stand in for ``train``: the real run, plus one reseed message
+        naming the config's last prototype."""
+        real_train = cli.train
+
+        def train(encoder, protos, data, config):
+            trace = real_train(encoder, protos, data, config)
+            trace.warnings.append(f"epoch 1: reseeded empty prototype {config.k - 1}")
+            return trace
+
+        monkeypatch.setattr(cli, "train", train)
+
+    def test_cluster_prints_each_warning(self, synth_dir, encoder_path, tmp_path, capsys,
+                                         monkeypatch):
+        out = tmp_path / "run"
+        args = ("cluster", "--encoder", encoder_path, "--data", synth_dir / "unlabeled.csv",
+                "--k", 3, "--warmup", 1, "--epochs", 2, "--seed", 2, "--out-dir", out)
+        assert run(*args) == 0
+        plain, plain_files = capsys.readouterr(), self.outputs(out)
+        assert plain.err == ""
+        self.reseeding_train(monkeypatch)
+        assert run(*args) == 0
+        warned = capsys.readouterr()
+        assert warned.err == "warning: epoch 1: reseeded empty prototype 2\n"
+        assert warned.out == plain.out
+        assert self.outputs(out) == plain_files
+
+    def test_sweep_prefixes_each_warning_with_its_point(self, synth_dir, encoder_path, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setenv("DTC_THREADS", "2")
+        out = tmp_path / "sw"
+        args = ("sweep", "--encoder", encoder_path, "--data", synth_dir / "unlabeled.csv",
+                "--truth", synth_dir / "unlabeled_truth.csv", "--sweep", "k", "--values", "3,2",
+                "--warmup", 1, "--epochs", 1, "--seed", 3, "--out-dir", out)
+        assert run(*args) == 0
+        plain, plain_files = capsys.readouterr(), self.outputs(out)
+        assert plain.err == ""
+        self.reseeding_train(monkeypatch)
+        assert run(*args) == 0
+        warned = capsys.readouterr()
+        assert warned.err == ("warning: k=3: epoch 1: reseeded empty prototype 2\n"
+                              "warning: k=2: epoch 1: reseeded empty prototype 1\n")
+        assert warned.out == plain.out
+        assert self.outputs(out) == plain_files
+
+
 class TestSweep:
     def test_k_sweep_table(self, synth_dir, encoder_path, tmp_path):
         out = tmp_path / "sw"

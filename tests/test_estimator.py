@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from transfercluster import estimator
 from transfercluster.dataset import (
     FeatureMatrix,
     LabeledSet,
@@ -18,6 +19,7 @@ from transfercluster.estimator import (
     estimate_class_count,
     sweep_report_to_csv,
 )
+from transfercluster.kmeans import KmeansResult
 
 
 def probe_setup(k_true=4, per_class=40, dim=12, sep=7.0, seed=0):
@@ -35,6 +37,70 @@ def heavy_probe_setup(k_true, seed, per_probe=120, per_novel=40, dim=32, sep=6.0
                             tuple(unlabeled.ids[i] for i in rows))
     split = ProbeSplit(frozenset({0, 1, 2, 3}), frozenset({4}))
     return labeled, trimmed, truth[rows], split
+
+
+def scripted_estimate(monkeypatch, accs, cvis, unlabeled_labels, tau=0.01):
+    """``estimate_class_count`` over candidates 0..len(accs) - 1 with the
+    sweep's scores scripted: candidate K's probe accuracy is ``accs[K]``
+    and its silhouette ``cvis[K]``, and every candidate puts the
+    unlabelled rows in clusters ``unlabeled_labels``.  One anchor and one
+    validation class, so cluster 0 is the anchor's and the non-anchor
+    clusters of candidate K are 1..K + 1."""
+    n = len(unlabeled_labels)
+    probe = LabeledSet(FeatureMatrix(np.zeros((4, 2)), ("a", "b", "c", "d")),
+                       np.array([0, 0, 1, 1]))
+
+    def scripted_kmeans(x, k, pinned, seed):
+        assignment = np.maximum(pinned, 0)
+        assignment[-n:] = unlabeled_labels
+        return KmeansResult(np.zeros((k, x.shape[1])), assignment, 0.0, 1)
+
+    def scripted_silhouettes(x, labellings):
+        assert len(labellings) == len(cvis)
+        return list(cvis)
+
+    next_acc = iter(accs).__next__   # one thread: candidates in order
+    monkeypatch.setattr(estimator, "constrained_kmeans", scripted_kmeans)
+    monkeypatch.setattr(estimator, "clustering_accuracy", lambda truth, pred: (next_acc(), None))
+    monkeypatch.setattr(estimator, "silhouettes", scripted_silhouettes)
+    split = ProbeSplit(frozenset({0}), frozenset({1}))
+    return estimate_class_count(probe, np.zeros((n, 2)), split, k_max=len(accs) - 1, tau=tau,
+                                threads=1)
+
+
+class TestDecisionRules:
+    """The estimator's rules on scripted sweeps: the average of the two
+    picks, the accuracy plateau's tie-break and the tau pruning."""
+
+    @pytest.mark.parametrize("acc_peak, cvi_peak, k_hat", [(2, 5, 4), (5, 2, 4), (0, 1, 1)])
+    def test_odd_sum_of_picks_rounds_up(self, monkeypatch, acc_peak, cvi_peak, k_hat):
+        accs = [0.5] * 7
+        accs[acc_peak] = 1.0
+        cvis = [0.1] * 7
+        cvis[cvi_peak] = 0.9
+        report = scripted_estimate(monkeypatch, accs, cvis, [1, 2, 2, 3])
+        assert (report.k_star_acc, report.k_star_cvi) == (acc_peak, cvi_peak)
+        assert report.k_hat == k_hat
+
+    @pytest.mark.parametrize("cvi_peak, k_star_acc", [(5, 3), (6, 7), (0, 1), (8, 7)])
+    def test_plateau_tie_goes_nearest_the_cvi_pick_then_smaller(
+            self, monkeypatch, cvi_peak, k_star_acc):
+        """Accuracy peaks at 1, 3 and 7; at cvi 5, 3 and 7 are equally near."""
+        accs = [0.5, 1.0, 0.5, 1.0, 0.5, 0.5, 0.5, 1.0, 0.5]
+        cvis = [0.1] * 9
+        cvis[cvi_peak] = 0.9
+        report = scripted_estimate(monkeypatch, accs, cvis, [1, 2, 2, 3])
+        assert report.k_star_acc == k_star_acc
+
+    def test_mass_of_exactly_tau_times_largest_is_kept(self, monkeypatch):
+        """At K = 2, cluster 1 holds 8 rows, cluster 2 exactly tau * 8 = 2
+        and cluster 3 one: only cluster 3 is dropped."""
+        accs = [0.5, 0.5, 1.0, 0.5]
+        cvis = [0.1, 0.1, 0.9, 0.1]
+        report = scripted_estimate(monkeypatch, accs, cvis, [1] * 8 + [2, 2, 3], tau=0.25)
+        assert report.k_hat == 2
+        assert report.dropped_clusters == [(3, 1)]
+        assert (report.n_non_anchor, report.k_final) == (3, 2)
 
 
 class TestEstimateClassCount:

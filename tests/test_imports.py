@@ -77,6 +77,29 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private(sources) == []
 
 
+def object_uses(source: str) -> list[int]:
+    """Lines that use the name ``object`` other than as an attribute's
+    base, as in ``object.__setattr__``: an ``object`` dtype, a base class
+    or a sentinel."""
+    tree = ast.parse(source)
+    bases = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "object" and id(node) not in bases)
+
+
+def test_detects_object_uses():
+    source = ("object.__setattr__(self, 'a', 1)\nnp.empty(3, dtype=object)\n"
+              "class A(object):\n    pass\n")
+    assert object_uses(source) == [2, 3]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_object_arrays(module):
+    """numpy ``object`` arrays hold Python objects, one pointer and one
+    allocation per element, so no module builds one."""
+    assert object_uses(module.read_text(encoding="utf-8")) == []
+
+
 def test_package_and_cli_load_no_scipy():
     script = (
         "import sys\n"

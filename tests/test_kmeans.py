@@ -1,5 +1,6 @@
 """Tests for seeded k-means and the anchored variant."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -856,17 +857,19 @@ class TestLabelPass:
             np.testing.assert_array_equal(run_labels[clear], reference[clear])
             np.testing.assert_array_equal(run_labels[clear], nearest[clear, 0])
 
-    @pytest.mark.parametrize("k, packing", [(1500, np.int64), (2**21 + 50, object)],
-                             ids=["int64", "object"])
+    @pytest.mark.parametrize("k, packing", [(2**15, np.int32), (2**15 + 1, np.int64)],
+                             ids=["int32", "int64"])
     def test_wide_packings_give_int64_labels(self, k, packing):
-        """From k = 1 449 the packed (count, index sum) pairs need int64,
-        and from k = 2**21 + 1 Python integers.  Either way the
-        labels come back as int64, the ``expanded`` argmin on every row
-        with a clear gap (as in the test above).  Each row sits 1e-6 from
-        one of k normal centers, far nearer than their spacing."""
-        shift = (k * (k - 1) // 2).bit_length()
-        top = (k + 1) << shift
-        assert packing is (np.int64 if 2**31 < top <= 2**63 else object)
+        """Up to k = 2**15 the packed hits fit int32, and from k = 2**15 + 1
+        they need int64: every index a hit, each weighted 2**shift + i.
+        Either way the labels come back as int64, the ``expanded`` argmin
+        on every row with a clear gap (as in the test above).  Each row
+        sits 1e-6 from one of k normal centers, far nearer than their
+        spacing."""
+        shift = (k - 1).bit_length()
+        top = k * 2**shift + k * (k - 1) // 2
+        assert top <= np.iinfo(packing).max
+        assert packing is np.int32 or top > np.iinfo(np.int32).max
         rng = np.random.default_rng(7)
         centers = rng.normal(size=(1, k, 2))
         x = centers[0, rng.choice(k, size=4)] + 1e-6
@@ -882,6 +885,25 @@ class TestLabelPass:
         np.testing.assert_array_equal(
             labels[0], distances.expanded(x, centers[0], x_sq).argmin(axis=1))
         np.testing.assert_array_equal(labels[0], nearest[:, 0])
+
+    def test_only_one_hit_pairs_are_certified(self, monkeypatch):
+        """For k = 1..40 and every set of 0 to 3 center indices, one
+        restart puts exactly those centers on the single row and the rest
+        at distance 1, so they are the row's hits (no hit: the restart is
+        past the gate).  With the fallback made to return -1, a one-hit
+        pair is labelled with its index and every other pair is left to
+        the fallback."""
+        monkeypatch.setattr(KMEANS, "_nearest64", lambda rows, _: np.full(len(rows), -1))
+        free = _FreeRows(np.zeros((1, 1)), np.arange(1), NO_PINS)
+        for k in range(1, 41):
+            hit_sets = [s for size in range(4) for s in itertools.combinations(range(k), size)]
+            centers = np.ones((len(hit_sets), k, 1))
+            centers[0] = 2.0**60   # the empty set: past the gate
+            for r, hits in enumerate(hit_sets):
+                centers[r, list(hits)] = 0.0
+            labels = _label_pass(free, centers, np.arange(len(hit_sets)))[:, 0]
+            np.testing.assert_array_equal(
+                labels, [hits[0] if len(hits) == 1 else -1 for hits in hit_sets])
 
     def test_pass_returns_only_the_active_restarts_labels(self):
         """Row a of the result is restart ``active[a]``'s labels; the

@@ -1,6 +1,7 @@
 """Tests for clustering metrics against brute-force reference code."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -199,6 +200,17 @@ class TestNmi:
         truth = rng.integers(0, 2, size=10000)
         predicted = rng.integers(0, 2, size=10000)
         assert nmi(truth, predicted) <= 0.05
+
+    def test_hand_computed_value_uses_the_geometric_mean(self):
+        """Truth (3/4, 1/4) against predicted (1/2, 1/2): the entropies
+        differ, so the arithmetic mean would give another value."""
+        log = math.log
+        h_truth = -(0.75 * log(0.75) + 0.25 * log(0.25))
+        h_pred = log(2)
+        info = 0.5 * log(0.5 / 0.375) + 0.25 * log(0.25 / 0.375) + 0.25 * log(0.25 / 0.125)
+        assert h_truth != pytest.approx(h_pred)
+        assert nmi([0, 0, 0, 1], [0, 0, 1, 1]) == pytest.approx(
+            info / math.sqrt(h_truth * h_pred), rel=1e-12)
 
     def test_degenerate_entropies(self):
         assert nmi([0, 0, 0], [1, 1, 1]) == 1.0
